@@ -30,7 +30,10 @@ pipeline:
      short-circuits on the first difference;
    * :func:`compile_seq` emits one function per level writing the net
      array in place, so batched lane evaluation can interleave fault
-     injection between levels.
+     injection between levels.  The good-machine simulator
+     (:mod:`repro.faultsim.simulator`) runs the same shape with every
+     gate output as a root, so :func:`gate_expr` is the only statement
+     of gate semantics on the good-machine side.
 
 Compiled programs are cached process-wide by ``(structural hash,
 observation signature)`` — re-grading a component (cache-warm runs,

@@ -1,25 +1,37 @@
-"""Pattern-parallel good-machine logic simulation.
+"""Compiled good-machine logic simulation.
 
 The simulator evaluates a levelized netlist with one arbitrary-precision
 lane word per net: bit *i* of a net's word is the net's value under test
-pattern *i* (see :mod:`repro.utils.lanes`).  A combinational pass therefore
-costs one Python bitwise expression per gate regardless of how many patterns
-are applied.
+pattern *i* (see :mod:`repro.utils.lanes`).  The gates run through the
+generated level functions of :func:`repro.faultsim.lowering.compile_seq`
+(every gate output is a root, so dead logic is evaluated too: excitation
+reads any fault site), compiled lazily on the first evaluation and shared
+process-wide through the lowering program cache.  A combinational pass
+therefore costs one generated big-int statement per gate regardless of
+how many patterns are applied.
 
-Sequential circuits are stepped cycle by cycle; lanes then represent
-*independent parallel sessions* advancing in lockstep (used to fault-grade
-combinational components with hundreds of patterns at once, and with a
-single lane for traced sequential test application).
+Sequential circuits are stepped cycle by cycle.  In the multi-lane form
+(:meth:`LogicSimulator.run_parallel_sessions`, :meth:`LogicSimulator.step`)
+lanes are *independent parallel sessions* advancing in lockstep, used to
+fault-grade combinational components with hundreds of patterns at once.
+The single-lane cycle walk (:meth:`LogicSimulator.run_sequence`) fills
+input and flip-flop nets directly: a new cycle starts from a copy of the
+previous settled list and rewrites only the input bits and Q nets that
+changed.  It memoizes each settled cycle by its ``(DFF state, input
+vector)`` pair: in a zero-delay levelized model that pair determines
+every net value and the next state, so a repeated pair reuses the
+earlier cycle's value list and successor state instead of re-settling
+the netlist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import SimulationError
-from repro.netlist.gates import GateType
-from repro.netlist.levelize import levelize, levels
+from repro.faultsim.lowering import cached_compile_seq
+from repro.netlist.levelize import levels
 from repro.netlist.netlist import CONST1, Netlist, PortDirection
 from repro.utils.lanes import LaneSet, pack_vectors, unpack_vectors
 
@@ -43,6 +55,11 @@ class GoodTrace:
         values: per cycle, the full net-value array (index = net id).
         states: per cycle, the DFF state *entering* that cycle; has one
             extra final entry (the state after the last cycle).
+
+    A trace is read-only.  Cycles that repeat a ``(state, inputs)`` pair
+    share one value list and one :class:`SimState` object, and cached
+    traces are shared by every engine, so no consumer may write into
+    ``values[t]`` or ``states[t].q``.
     """
 
     lanes: LaneSet
@@ -54,12 +71,29 @@ class GoodTrace:
         return len(self.values)
 
 
+#: One generated level function: ``fn(values, mask)`` settles one level.
+_LevelFn = Callable[[list[int], int], None]
+
+
+def _write_bits(
+    values: list[int], nets: tuple[int, ...], word: int, changed: int
+) -> None:
+    """Write the ``changed`` bits of a port ``word`` onto its nets."""
+    width = len(nets)
+    while changed:
+        low = changed & -changed
+        j = low.bit_length() - 1
+        if j >= width:
+            return
+        values[nets[j]] = (word >> j) & 1
+        changed ^= low
+
+
 class LogicSimulator:
-    """Levelized event-free logic simulator for one netlist."""
+    """Levelized logic simulator for one netlist (compiled on first use)."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.order = levelize(netlist)
         self.gate_levels = levels(netlist)
         self._input_nets: dict[str, tuple[int, ...]] = {
             p.name: p.nets
@@ -71,8 +105,19 @@ class LogicSimulator:
             for p in netlist.ports.values()
             if p.direction is PortDirection.OUTPUT
         }
+        self._q_nets = tuple(d.q for d in netlist.dffs)
+        self._level_fns: tuple[_LevelFn, ...] | None = None
 
     # ---------------------------------------------------------- plumbing
+
+    def _settle_fns(self) -> tuple[_LevelFn, ...]:
+        """The generated per-level gate functions, compiled on first use."""
+        if self._level_fns is None:
+            prog = cached_compile_seq(
+                self.netlist, [g.output for g in self.netlist.gates]
+            )
+            self._level_fns = prog.level_fns[1:]
+        return self._level_fns
 
     def initial_state(self, lanes: LaneSet) -> SimState:
         """Reset state: every DFF holds its init value in every lane."""
@@ -118,8 +163,9 @@ class LogicSimulator:
         Returns:
             Net-value array indexed by net id.
         """
+        mask = lanes.mask
         values = [0] * self.netlist.n_nets
-        values[CONST1] = lanes.mask
+        values[CONST1] = mask
 
         for name, nets in self._input_nets.items():
             words = inputs.get(name)
@@ -131,55 +177,13 @@ class LogicSimulator:
                     f"got {len(words)}"
                 )
             for net, word in zip(nets, words, strict=True):
-                values[net] = word & lanes.mask
+                values[net] = word & mask
 
-        for dff, q_word in zip(self.netlist.dffs, state.q, strict=True):
-            values[dff.q] = q_word & lanes.mask
+        for net, q_word in zip(self._q_nets, state.q, strict=True):
+            values[net] = q_word & mask
 
-        mask = lanes.mask
-        for gate in self.order:
-            ins = gate.inputs
-            gt = gate.gtype
-            # Inline the hot gate types; fall back to eval_gate otherwise.
-            if gt is GateType.MUX2:
-                a, b, sel = values[ins[0]], values[ins[1]], values[ins[2]]
-                out = (a & ~sel) | (b & sel)
-            elif gt is GateType.AND:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out &= values[n]
-            elif gt is GateType.XOR:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out ^= values[n]
-            elif gt is GateType.NOT:
-                out = ~values[ins[0]]
-            elif gt is GateType.OR:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out |= values[n]
-            elif gt is GateType.NAND:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out &= values[n]
-                out = ~out
-            elif gt is GateType.NOR:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out |= values[n]
-                out = ~out
-            elif gt is GateType.XNOR:
-                out = values[ins[0]]
-                for n in ins[1:]:
-                    out ^= values[n]
-                out = ~out
-            elif gt is GateType.BUF:
-                out = values[ins[0]]
-            elif gt is GateType.AOI21:
-                out = ~((values[ins[0]] & values[ins[1]]) | values[ins[2]])
-            else:  # pragma: no cover - all types handled above
-                raise SimulationError(f"unhandled gate type {gt}")
-            values[gate.output] = out & mask
+        for fn in self._settle_fns():
+            fn(values, mask)
         return values
 
     def next_state(self, values: list[int], lanes: LaneSet) -> SimState:
@@ -232,6 +236,10 @@ class LogicSimulator:
     ) -> tuple[list[dict[str, int]], GoodTrace | None]:
         """Single-lane sequential run over a list of per-cycle input values.
 
+        A cycle whose ``(DFF state, input vector)`` pair was already
+        settled reuses that cycle's value list and next state (see the
+        module doc); recorded traces alias those lists.
+
         Args:
             cycle_inputs: per cycle, ``{port: value}``.
             record: also return the full :class:`GoodTrace` (needed for
@@ -240,22 +248,71 @@ class LogicSimulator:
         Returns:
             ``(per-cycle output values, trace-or-None)``.
         """
+        fns = self._settle_fns()
+        names = tuple(self._input_nets)
+        in_nets = tuple(self._input_nets.values())
+        q_nets = self._q_nets
+        d_nets = tuple(d.d for d in self.netlist.dffs)
+        out_nets = tuple(self._output_nets.items())
+
         lanes = LaneSet(1)
         state = self.initial_state(lanes)
+        # State key: one byte per DFF (single-lane Q words are 0 or 1).
+        state_key = bytes(state.q)
+        states = {state_key: state}
+        seen: dict[
+            tuple[bytes, tuple[int, ...]],
+            tuple[list[int], bytes, SimState, dict[str, int]],
+        ] = {}
+        # The previous cycle's settled list and the sources it was settled
+        # from; a miss copies it and rewrites only the sources that changed
+        # (every gate output is recomputed anyway).
+        prev = [0] * self.netlist.n_nets
+        prev[CONST1] = 1
+        for net, q in zip(q_nets, state.q, strict=True):
+            prev[net] = q
+        prev_key = (state_key, (0,) * len(names))
         outputs: list[dict[str, int]] = []
         trace_values: list[list[int]] = []
-        trace_states: list[SimState] = [state.copy()]
+        trace_states: list[SimState] = [state]
         for cycle in cycle_inputs:
-            packed = self.pack_inputs([cycle], lanes)
-            values, state = self.step(packed, state, lanes)
-            out = {
-                name: unpack_vectors([values[n] for n in nets], 1)[0]
-                for name, nets in self._output_nets.items()
-            }
-            outputs.append(out)
+            vector = tuple(cycle.get(name, 0) for name in names)
+            key = (state_key, vector)
+            hit = seen.get(key)
+            if hit is None:
+                values = prev.copy()
+                for nets, word, old in zip(
+                    in_nets, vector, prev_key[1], strict=True
+                ):
+                    _write_bits(values, nets, word, word ^ old)
+                changed = int.from_bytes(state_key, "little") ^ int.from_bytes(
+                    prev_key[0], "little"
+                )
+                while changed:
+                    low = changed & -changed
+                    i = (low.bit_length() - 1) >> 3
+                    values[q_nets[i]] = state_key[i]
+                    changed ^= low
+                for fn in fns:
+                    fn(values, 1)
+                next_key = bytes(map(values.__getitem__, d_nets))
+                next_state = states.get(next_key)
+                if next_state is None:
+                    next_state = states[next_key] = SimState(list(next_key))
+                out: dict[str, int] = {}
+                for name, nets in out_nets:
+                    word = 0
+                    for j, net in enumerate(nets):
+                        if values[net]:
+                            word |= 1 << j
+                    out[name] = word
+                hit = seen[key] = (values, next_key, next_state, out)
+            values, state_key, state, out = hit
+            prev, prev_key = values, key
+            outputs.append(dict(out))
             if record:
                 trace_values.append(values)
-                trace_states.append(state.copy())
+                trace_states.append(state)
         trace = GoodTrace(lanes, trace_values, trace_states) if record else None
         return outputs, trace
 

@@ -1,4 +1,6 @@
-"""Unit tests for the pattern-parallel logic simulator."""
+"""Unit tests for the compiled good-machine logic simulator."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,12 @@ from repro.errors import SimulationError
 from repro.faultsim.simulator import LogicSimulator
 from repro.library.adders import incrementer
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.gates import GateType
-from repro.netlist.netlist import DFF
+from repro.netlist.gates import GateType, eval_gate
+from repro.netlist.levelize import levelize
+from repro.netlist.netlist import CONST0, CONST1, DFF, PortDirection
 from repro.utils.lanes import LaneSet
+
+from tests.faultsim.test_collapse_property import random_seq
 
 
 def all_gates_circuit():
@@ -140,3 +145,148 @@ class TestSequential:
         sim = self._counter()
         with pytest.raises(SimulationError):
             sim.run_parallel_sessions([])
+
+
+# ------------------------------------------------ compiled-kernel property
+
+
+def _feedback_netlist(seed: int):
+    """Random circuit with enable-DFF feedback, tied constants and logic
+    that nothing reads (dead gates must still appear in the trace)."""
+    rng = random.Random(seed)
+    b = NetlistBuilder(f"fb{seed}")
+    nets = list(b.input("x", 3)) + list(b.input("en", 1))
+    state = []
+    for i in range(16):
+        gt = rng.choice(
+            (GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+             GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+             GateType.MUX2, GateType.AOI21)
+        )
+        pool = nets + state + [CONST0, CONST1]
+        arity = {GateType.NOT: 1, GateType.BUF: 1, GateType.MUX2: 3,
+                 GateType.AOI21: 3}.get(gt, rng.choice((2, 3)))
+        out = b.gate(gt, *(rng.choice(pool) for _ in range(arity)))
+        if i % 3 == 2:
+            state.append(b.dff(out, init=rng.randrange(2),
+                               enable=rng.choice(nets)))
+        nets.append(out)
+    b.output("y", nets[-3:] + state[-1:])
+    return b.build()
+
+
+def _circuits():
+    return [random_seq(s) for s in (21, 22, 23)] + [
+        _feedback_netlist(s) for s in (31, 32, 33)
+    ]
+
+
+def _held_stimulus(rng, n: int, ports: dict[str, int]):
+    """Runs of vectors drawn from a small pool: held values and repeats."""
+    pool = [
+        {p: rng.getrandbits(w) for p, w in ports.items()} for _ in range(4)
+    ]
+    cycles = []
+    while len(cycles) < n:
+        cycles.extend([rng.choice(pool)] * rng.randint(1, 5))
+    return cycles[:n]
+
+
+def _naive_run(netlist, cycles):
+    """Reference walk: levelized ``eval_gate`` over one lane per cycle."""
+    order = levelize(netlist)
+    ins = {
+        p.name: p.nets for p in netlist.ports.values()
+        if p.direction is PortDirection.INPUT
+    }
+    outs = {
+        p.name: p.nets for p in netlist.ports.values()
+        if p.direction is PortDirection.OUTPUT
+    }
+    state = [d.init for d in netlist.dffs]
+    values_per_cycle, states, outputs = [], [list(state)], []
+    for cycle in cycles:
+        values = [0] * netlist.n_nets
+        values[CONST1] = 1
+        for name, nets in ins.items():
+            for j, net in enumerate(nets):
+                values[net] = (cycle.get(name, 0) >> j) & 1
+        for dff, q in zip(netlist.dffs, state, strict=True):
+            values[dff.q] = q
+        for gate in order:
+            values[gate.output] = eval_gate(
+                gate.gtype, [values[n] for n in gate.inputs], 1
+            )
+        outputs.append({
+            name: sum(values[n] << j for j, n in enumerate(nets))
+            for name, nets in outs.items()
+        })
+        values_per_cycle.append(values)
+        state = [values[d.d] for d in netlist.dffs]
+        states.append(list(state))
+    return values_per_cycle, states, outputs
+
+
+def _widths(netlist):
+    return {
+        p.name: len(p.nets) for p in netlist.ports.values()
+        if p.direction is PortDirection.INPUT
+    }
+
+
+class TestCompiledKernel:
+    def test_circuits_have_dead_logic(self):
+        for netlist in _circuits():
+            read = {n for g in netlist.gates for n in g.inputs}
+            read |= {d.d for d in netlist.dffs}
+            read |= {n for p in netlist.ports.values() for n in p.nets}
+            assert any(g.output not in read for g in netlist.gates)
+
+    @pytest.mark.parametrize("length", [0, 1, 40])
+    @pytest.mark.parametrize("index", range(6))
+    def test_run_sequence_matches_naive_walk(self, index, length):
+        netlist = _circuits()[index]
+        cycles = _held_stimulus(
+            random.Random(index * 7 + length), length, _widths(netlist)
+        )
+        outputs, trace = LogicSimulator(netlist).run_sequence(
+            cycles, record=True
+        )
+        values, states, expected_outputs = _naive_run(netlist, cycles)
+        assert trace is not None
+        assert trace.values == values
+        assert [s.q for s in trace.states] == states
+        assert outputs == expected_outputs
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_parallel_sessions_match_single_lanes(self, index):
+        netlist = _circuits()[index]
+        rng = random.Random(index)
+        sessions = [
+            _held_stimulus(rng, 12, _widths(netlist)) for _ in range(5)
+        ]
+        sim = LogicSimulator(netlist)
+        packed = sim.run_parallel_sessions(sessions)
+        for lane, session in enumerate(sessions):
+            _, single = sim.run_sequence(session, record=True)
+            assert single is not None
+            for t in range(len(session)):
+                assert [
+                    (w >> lane) & 1 for w in packed.values[t]
+                ] == single.values[t]
+            assert [
+                [(q >> lane) & 1 for q in s.q] for s in packed.states
+            ] == [s.q for s in single.states]
+
+    def test_repeated_cycles_share_one_value_list(self):
+        netlist = _circuits()[3]
+        cycles = [dict(x=1, en=0)] * 6
+        _, trace = LogicSimulator(netlist).run_sequence(cycles, record=True)
+        assert trace is not None
+        assert len({id(v) for v in trace.values}) < len(cycles)
+
+    def test_wrong_port_width_rejected(self):
+        sim = LogicSimulator(all_gates_circuit())
+        lanes = LaneSet(1)
+        with pytest.raises(SimulationError, match="expects 3 bit words"):
+            sim.evaluate({"x": [1, 0]}, sim.initial_state(lanes), lanes)

@@ -1,5 +1,8 @@
 """Unit tests for the LRU good-trace cache."""
 
+import random
+
+from repro.faultsim import GradeOptions, grade
 from repro.faultsim.trace_cache import (
     CacheStats,
     GoodTraceCache,
@@ -8,6 +11,8 @@ from repro.faultsim.trace_cache import (
 )
 from repro.library import build_register_file
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.netlist import PortDirection
+from repro.plasma.components import component
 
 
 def buffer_netlist(name="buf"):
@@ -101,3 +106,37 @@ class TestKeying:
 def test_global_cache_is_a_singleton():
     assert global_trace_cache() is global_trace_cache()
     assert isinstance(global_trace_cache(), GoodTraceCache)
+
+
+def test_engines_leave_the_shared_trace_unchanged():
+    """Cycles that repeat a (state, inputs) pair share one value list, so
+    an engine that wrote into a cycle list would corrupt every cycle that
+    aliases it and every later grade from the cache."""
+    netlist = component("GL").builder()
+    rng = random.Random(5)
+    widths = {
+        p.name: len(p.nets) for p in netlist.ports.values()
+        if p.direction is PortDirection.INPUT
+    }
+    pool = [{p: rng.getrandbits(w) for p, w in widths.items()}
+            for _ in range(6)]
+    stimulus = []
+    while len(stimulus) < 300:
+        stimulus.extend([rng.choice(pool)] * rng.randint(1, 8))
+    trace = good_trace_for(netlist, stimulus, packed=False)
+    assert len({id(v) for v in trace.values}) < trace.n_cycles
+    values = [list(v) for v in trace.values]
+    states = [list(s.q) for s in trace.states]
+
+    verdicts = []
+    for engine in ("differential", "packed"):
+        result = grade(netlist, stimulus, options=GradeOptions(engine=engine))
+        assert good_trace_for(netlist, stimulus, packed=False) is trace
+        verdicts.append((result.detected, {
+            r: (d.detected, d.cycle, d.excited)
+            for r, d in result.detections.items()
+        }))
+    assert verdicts[0][0]
+    assert verdicts[0] == verdicts[1]
+    assert [list(v) for v in trace.values] == values
+    assert [list(s.q) for s in trace.states] == states
