@@ -20,7 +20,7 @@ from conftest import cached_campaign, run_once, write_result
 
 from repro.core.campaign import execute_self_test
 from repro.core.methodology import SelfTestMethodology
-from repro.faultsim.harness import CombinationalCampaign
+from repro.faultsim import GradeOptions, grade
 from repro.isa.encoding import decode
 from repro.plasma.cluster import EXPOSED_CONTROLS, build_execute_cluster
 from repro.plasma.controls import decode_controls
@@ -71,10 +71,9 @@ def flat_cluster_campaign():
             ]
         observe.append(tuple(dict.fromkeys(ports)))
 
-    campaign = CombinationalCampaign(
-        build_execute_cluster(), patterns, observe, name="EXEC-flat"
-    )
-    return campaign.run()
+    return grade(build_execute_cluster(), patterns, options=GradeOptions(
+        observe=observe, name="EXEC-flat",
+    ))
 
 
 def test_flat_cluster_validates_hierarchy(benchmark):

@@ -3,7 +3,7 @@
 The paper graded its self-test programs by fault-simulating the *entire
 processor netlist* executing them, observing the primary outputs.  This
 bench does exactly that on the composed gate-level core: the Phase A+B
-self-test runs inside the parallel-fault simulator with the memory bus
+self-test runs inside the fault simulator with the memory bus
 observed every cycle.
 
 Grading all ~30k collapsed fault classes flat costs hours in pure Python,

@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "excluded from the FC denominator, so coverage "
                           "can only stay equal or improve")
     p_c.add_argument("--engine", choices=engine_choices, default="auto",
-                     help="fault-sim engine (default: auto — compiled for "
+                     help="fault-sim engine (default: auto — packed for "
                           "deep combinational components, differential "
                           "otherwise)")
     p_c.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -565,8 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--lanes", type=int, default=None, metavar="N",
                      help="lane groups per packed-engine word, 2-1024 "
                           "(default 64 = good machine + 63 fault "
-                          "classes); only meaningful with --engine "
-                          "packed")
+                          "classes); only meaningful where the packed "
+                          "engine grades (--engine packed, or auto on "
+                          "deep combinational components)")
     p_c.set_defaults(func=_cmd_campaign)
 
     p_inv = sub.add_parser("inventory", help="print Tables 2 and 3")

@@ -36,9 +36,8 @@ from repro.faultsim.engine import (
     FaultSimEngine,
     Stimulus,
     _grade_collapsed,
-    default_engine_name,
-    get_engine,
     prune_sets,
+    resolve_engine,
 )
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
@@ -160,13 +159,7 @@ def _component_state(name: str) -> _ComponentState:
         context.observe[name], len(stimulus), netlist
     )
     opts = context.options
-    engine_name = opts.effective_engine()
-    if engine_name == "auto":
-        engine_name = default_engine_name(netlist)
-    engine = get_engine(engine_name)
-    configure = getattr(engine, "configure", None)
-    if configure is not None:
-        configure(opts)
+    engine = resolve_engine(netlist, opts)
     skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
     cmap = None
     universe = reps

@@ -11,17 +11,17 @@ picks an engine (``"auto"``) and returns a
 * :mod:`~repro.faultsim.simulator` — pattern-parallel good-machine logic
   simulation over levelized netlists (one Python bitwise op evaluates a gate
   under every pattern at once);
-* :mod:`~repro.faultsim.engine` — the :class:`FaultSimEngine` registry and
-  the engines (``differential``, ``batch``, ``compiled``, ``packed``)
-  behind the :func:`grade` facade;
+* :mod:`~repro.faultsim.engine` — the :class:`FaultSimEngine` protocol,
+  engine selection and the :func:`grade` facade over the two engines
+  (``differential``, the reference oracle, and ``packed``);
 * :mod:`~repro.faultsim.options` — the one validated
   :class:`GradeOptions` object every grading entry point shares;
 * :mod:`~repro.faultsim.packed` — fault-parallel bit-packed grading (up
   to ``lanes - 1`` fault classes per big-int word next to the good
   machine);
 * :mod:`~repro.faultsim.lowering` — netlist lowering / code generation for
-  the compiled engine (dead-net elimination, constant folding, fused gate
-  kernels);
+  the packed engine and the good-machine simulator (dead-net elimination,
+  constant folding, fused gate kernels);
 * :mod:`~repro.faultsim.trace_cache` — the process-wide good-trace cache
   keyed by structural netlist and stimulus hashes;
 * :mod:`~repro.faultsim.store` — the persistent content-addressed store
@@ -31,8 +31,8 @@ picks an engine (``"auto"``) and returns a
   by every engine;
 * :mod:`~repro.faultsim.differential` — per-fault event-driven faulty
   simulation against stored good values, with fault dropping;
-* :mod:`~repro.faultsim.harness` — component campaigns: apply a pattern set
-  or a traced cycle sequence, honouring per-pattern/per-cycle observability;
+* :mod:`~repro.faultsim.harness` — :class:`CampaignResult`, the per-component
+  verdict record every engine returns;
 * :mod:`~repro.faultsim.coverage` — FC / MOFC reports (the paper's Table 5
   quantities).
 """
@@ -62,23 +62,15 @@ from repro.faultsim.options import (
     GradeOptions,
     resolve_prune_mode,
 )
-from repro.faultsim.harness import (
-    CampaignResult,
-    CombinationalCampaign,
-    SequentialCampaign,
-    run_combinational,
-    run_sequential,
-)
+from repro.faultsim.harness import CampaignResult
 from repro.faultsim.engine import (
-    BatchEngine,
-    CompiledEngine,
     DifferentialEngine,
     FaultSimEngine,
     default_engine_name,
     engine_names,
     get_engine,
     grade,
-    register_engine,
+    resolve_engine,
 )
 from repro.faultsim.packed import PackedEngine
 
@@ -109,12 +101,6 @@ __all__ = [
     "GradeOptions",
     "resolve_prune_mode",
     "CampaignResult",
-    "CombinationalCampaign",
-    "SequentialCampaign",
-    "run_combinational",
-    "run_sequential",
-    "BatchEngine",
-    "CompiledEngine",
     "DifferentialEngine",
     "PackedEngine",
     "FaultSimEngine",
@@ -122,5 +108,5 @@ __all__ = [
     "engine_names",
     "get_engine",
     "grade",
-    "register_engine",
+    "resolve_engine",
 ]

@@ -1,25 +1,20 @@
 """Fault-simulation engines behind one facade: :func:`grade`.
 
-Three interchangeable engines grade a fault universe against a stimulus:
+Two interchangeable engines grade a fault universe against a stimulus:
 
 * ``differential`` — per-fault event-driven difference propagation against
-  the recorded good trace (:mod:`repro.faultsim.differential`).  Excels
-  when most faults drop quickly or never excite (sequential traces,
-  shallow circuits).
-* ``batch`` — the lane-parallel interpreter
-  (:mod:`repro.faultsim.parallel`): a batch of faults rides the bit lanes
-  of one full-circuit walk.  The slow-but-simple cross-check engine.
-* ``compiled`` — lowers the netlist once to generated Python
-  (:mod:`repro.faultsim.lowering`) and grades faults against the cached
-  good trace with pattern-parallel single-fault propagation
-  (combinational) or batched lanes with fault dropping and lane
-  repacking (sequential).  The fast engine for deep combinational cones.
+  the recorded good trace (:mod:`repro.faultsim.differential`).  The
+  independent reference oracle; it also wins when most faults drop
+  quickly or never excite (sequential traces, shallow circuits).
+* ``packed`` — fault-parallel bit-packed grading through generated level
+  kernels (:mod:`repro.faultsim.packed`): a group of fault classes rides
+  one big-int word next to the good machine.  The fast path for deep
+  combinational cones.
 
-All engines implement the :class:`FaultSimEngine` protocol and are
-registered by name; ``engine="auto"`` picks per netlist (the compiled
-engine wins on deep combinational circuits; the differential engine wins
-on sequential and very shallow ones, where per-fault early exits beat
-batch-wide evaluation).
+Both implement the :class:`FaultSimEngine` protocol; ``engine="auto"``
+picks per netlist (:func:`default_engine_name`), and
+:func:`resolve_engine` is the one place an options object becomes an
+engine instance.
 
 Detection verdicts — the ``detected`` flag, the ``excited`` flag and (for
 sequential stimulus) the first detecting cycle — are engine-invariant and
@@ -40,22 +35,15 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection, DifferentialFaultSimulator
-from repro.faultsim.faults import Fault, FaultKind, FaultList, build_fault_list
+from repro.faultsim.faults import Fault, FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
-from repro.faultsim.lowering import cached_compile_comb, cached_compile_seq
-from repro.faultsim.observe import ObservePlan, ObserveSpec
-from repro.faultsim.options import (
-    GradeOptions,
-    resolve_prune_mode,
-)
-from repro.faultsim.parallel import ParallelFaultSimulator, _eval
+from repro.faultsim.observe import ObservePlan
+from repro.faultsim.options import GradeOptions, resolve_prune_mode
 from repro.faultsim.simulator import GoodTrace
 from repro.faultsim.store import (
     result_from_payload,
@@ -64,15 +52,13 @@ from repro.faultsim.store import (
 )
 from repro.faultsim.trace_cache import good_trace_for, set_active_store
 from repro.netlist.levelize import depth
-from repro.netlist.netlist import CONST1, DFF, Gate, Netlist, PortDirection
+from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see grade())
     from repro.analysis.collapse import CollapseMap
 
 __all__ = [
     "AUTO_MIN_DEPTH",
-    "BatchEngine",
-    "CompiledEngine",
     "DifferentialEngine",
     "FaultSimEngine",
     "GradeOptions",
@@ -81,19 +67,15 @@ __all__ = [
     "get_engine",
     "grade",
     "prune_sets",
-    "register_engine",
+    "resolve_engine",
     "resolve_prune_mode",
 ]
 
 Stimulus = Sequence[Mapping[str, int]]
 
-#: Prefetched per-fault record of the combinational chunk loop:
-#: (rep, stuck, site, start, site_mask, reader, gate, pin).
-_CombEntry = tuple[int, int, int, int, int, bool, Gate | None, int]
-
 
 class FaultSimEngine(Protocol):
-    """What every registered engine provides."""
+    """What every engine provides."""
 
     name: str
 
@@ -136,15 +118,6 @@ def _graded_reps(
         wanted = set(only)
         reps = [r for r in reps if r in wanted]
     return [r for r in reps if r not in skip]
-
-
-def _output_nets(netlist: Netlist) -> tuple[int, ...]:
-    return tuple(
-        net
-        for p in netlist.ports.values()
-        if p.direction is PortDirection.OUTPUT
-        for net in p.nets
-    )
 
 
 def _excited_packed(fault: Fault, trace: GoodTrace) -> bool:
@@ -208,462 +181,6 @@ class DifferentialEngine:
         return result
 
 
-# -------------------------------------------------------------------- batch
-
-
-class BatchEngine:
-    """Lane-parallel interpreted grading (cross-check engine).
-
-    Detection comes from :meth:`ParallelFaultSimulator.run_batch` (lane 0
-    carries the good machine); the ``excited`` flag is derived afterwards
-    from the cached good trace so the verdict record matches the other
-    engines field by field.
-    """
-
-    name = "batch"
-
-    def __init__(self, batch_size: int = 255):
-        self.batch_size = batch_size
-
-    def grade(
-        self,
-        netlist: Netlist,
-        stimulus: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        *,
-        name: str = "",
-        skip: frozenset[int] = frozenset(),
-        only: Sequence[int] | None = None,
-    ) -> CampaignResult:
-        sim = ParallelFaultSimulator(netlist, batch_size=self.batch_size)
-        observe_lists = plan.port_name_lists()
-        result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
-        )
-        reps = _graded_reps(fault_list, skip, only)
-        for start in range(0, len(reps), self.batch_size):
-            chunk = reps[start : start + self.batch_size]
-            faults = [fault_list.fault(r) for r in chunk]
-            for rep, detection in zip(
-                chunk, sim.run_batch(faults, stimulus, observe_lists),
-                strict=True,
-            ):
-                result.detections[rep] = detection
-                if detection.detected:
-                    result.detected.add(rep)
-        # Fill the excitation flag from the (cached) good trace; the
-        # interpreted batch pass itself never tracks it.
-        packed = not netlist.dffs
-        trace = good_trace_for(netlist, stimulus, packed=packed)
-        for rep, detection in result.detections.items():
-            excited = detection.detected or _excited(
-                fault_list.fault(rep), trace, packed
-            )
-            if excited != detection.excited:
-                result.detections[rep] = dataclasses.replace(
-                    detection, excited=excited
-                )
-        return result
-
-
-# ----------------------------------------------------------------- compiled
-
-
-#: "auto" prefers the compiled engine only on combinational circuits at
-#: least this deep: below it (wide, shallow mux trees) recomputing the
-#: whole cone per fault loses to the differential engine's early exits.
-AUTO_MIN_DEPTH = 6
-
-#: Combinational chunk schedule: a narrow first chunk detects the easy
-#: ~90% of faults cheaply (faults drop out of later chunks), then widths
-#: grow geometrically so stubborn faults see many patterns per pass.
-CHUNK_SCHEDULE = (256, 1024, 4096)
-
-
-def _chunk_spans(n_lanes: int) -> Iterable[tuple[int, int]]:
-    base = 0
-    first, second, rest = CHUNK_SCHEDULE
-    for width in (first, second):
-        if base >= n_lanes:
-            return
-        width = min(width, n_lanes - base)
-        yield base, width
-        base += width
-    while base < n_lanes:
-        width = min(rest, n_lanes - base)
-        yield base, width
-        base += width
-
-
-class CompiledEngine:
-    """Grading through generated code and the good-trace cache.
-
-    Combinational: pattern-parallel single-fault propagation — the good
-    values are mutated in place at the fault site and one generated
-    function re-evaluates only levels at or above it, returning the fused
-    detection word.  Faults drop out of later (wider) chunks once
-    detected.
-
-    Sequential: batches of faults ride bit lanes through per-level
-    generated kernels with injection applied between levels; detected
-    faults leave the live-lane mask immediately (fault dropping), and the
-    batch is repacked onto fewer lanes when occupancy falls below
-    ``repack_threshold`` (smaller lane words make every big-int op
-    cheaper); an emptied batch exits the cycle walk early.
-    """
-
-    name = "compiled"
-
-    def __init__(
-        self,
-        batch_size: int = 256,
-        repack_threshold: float = 0.5,
-        min_repack_drop: int = 8,
-    ):
-        if batch_size < 1:
-            raise FaultSimError("batch size must be positive")
-        if not 0.0 <= repack_threshold <= 1.0:
-            raise FaultSimError("repack threshold must be within [0, 1]")
-        self.batch_size = batch_size
-        self.repack_threshold = repack_threshold
-        self.min_repack_drop = min_repack_drop
-
-    def grade(
-        self,
-        netlist: Netlist,
-        stimulus: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        *,
-        name: str = "",
-        skip: frozenset[int] = frozenset(),
-        only: Sequence[int] | None = None,
-    ) -> CampaignResult:
-        result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
-        )
-        if netlist.dffs:
-            self._grade_sequential(
-                netlist, stimulus, fault_list, plan, result, skip, only
-            )
-        else:
-            self._grade_combinational(
-                netlist, stimulus, fault_list, plan, result, skip, only
-            )
-        return result
-
-    # ---------------------------------------------------- combinational
-
-    def _grade_combinational(
-        self,
-        netlist: Netlist,
-        patterns: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        result: CampaignResult,
-        skip: frozenset[int],
-        only: Sequence[int] | None = None,
-    ) -> None:
-        trace = good_trace_for(netlist, patterns, packed=True)
-        good = trace.values[0]
-        full_mask = trace.lanes.mask
-
-        obs = plan.packed_net_masks(netlist)
-        if obs is None:
-            obs = {net: full_mask for net in _output_nets(netlist)}
-        prog = cached_compile_comb(netlist, obs)
-        fn = prog.fn
-        driven_at = prog.driven_at
-        gate_level = prog.gate_level
-        has_reader = prog.has_reader
-        obs_net_masks = prog.obs_net_masks
-        gates = netlist.gates
-        detections = result.detections
-        detected = result.detected
-
-        # Full-width excitation screen: a site the stimulus never drives
-        # to the opposite value can never be detected (O(1) per fault).
-        # Survivors are prefetched into flat tuples so the chunk loop does
-        # no attribute or dict lookups per fault:
-        # (rep, stuck, site, start, site_mask, reader, gate, pin).
-        pending: list[_CombEntry] = []
-        for rep in _graded_reps(fault_list, skip, only):
-            fault = fault_list.fault(rep)
-            if good[fault.net] == (full_mask if fault.stuck else 0):
-                detections[rep] = Detection(False, excited=False)
-                continue
-            if fault.kind is FaultKind.STEM:
-                site = fault.net
-                start = driven_at.get(site, 0) + 1
-                gate: Gate | None = None
-                pin = 0
-            else:  # BRANCH (combinational netlists have no DFF_D)
-                gate = gates[fault.gate]
-                site = gate.output
-                start = gate_level[gate.index] + 1
-                pin = fault.pin
-            pending.append((
-                rep, fault.stuck, site, start,
-                obs_net_masks.get(site, 0), site in has_reader, gate, pin,
-            ))
-
-        for base, width in _chunk_spans(trace.lanes.count):
-            if not pending:
-                break
-            chunk_mask = (1 << width) - 1
-            gc = [(word >> base) & chunk_mask for word in good]
-            om = tuple((m >> base) & chunk_mask for m in prog.masks)
-            still: list[_CombEntry] = []
-            for entry in pending:
-                rep, stuck, site, start, site_mask, reader, gate, pin = entry
-                forced = chunk_mask if stuck else 0
-                old = gc[site]
-                if gate is None:
-                    if old == forced:
-                        still.append(entry)
-                        continue
-                    new = forced
-                else:
-                    vals = [gc[n] for n in gate.inputs]
-                    vals[pin] = forced
-                    new = _eval(gate.gtype, vals, chunk_mask)
-                    if new == old:
-                        still.append(entry)
-                        continue
-                det = (new ^ old) & (site_mask >> base) & chunk_mask
-                if not det and reader:
-                    # Direct observation already proves detection when det
-                    # is non-zero (lanes are a partial witness), so the
-                    # downstream cone only needs evaluating when it is not.
-                    gc[site] = new
-                    det = fn(gc, chunk_mask, om, start)
-                    gc[site] = old
-                if det:
-                    detections[rep] = Detection(True, 0, det << base,
-                                                excited=True)
-                    detected.add(rep)
-                else:
-                    still.append(entry)
-            pending = still
-
-        for entry in pending:
-            # Survived every chunk despite being excited somewhere.
-            detections[entry[0]] = Detection(False, excited=True)
-
-    # -------------------------------------------------------- sequential
-
-    def _grade_sequential(
-        self,
-        netlist: Netlist,
-        cycles: Stimulus,
-        fault_list: FaultList,
-        plan: ObservePlan,
-        result: CampaignResult,
-        skip: frozenset[int],
-        only: Sequence[int] | None = None,
-    ) -> None:
-        trace = good_trace_for(netlist, cycles, packed=False)
-        good_values = trace.values
-        dffs = netlist.dffs
-        n_nets = netlist.n_nets
-
-        all_obs = _output_nets(netlist)
-        if plan.observes_everything:
-            obs_per_cycle = None
-        else:
-            obs_per_cycle = [
-                tuple(nets)
-                for nets in plan.net_masks(netlist, 1)
-            ]
-        roots = set(all_obs if obs_per_cycle is None else
-                    (n for nets in obs_per_cycle for n in nets))
-        roots.update(d.d for d in dffs)
-        prog = cached_compile_seq(netlist, sorted(roots))
-        level_fns = prog.level_fns
-        driven_at = prog.driven_at
-        gate_level = prog.gate_level
-        keep = prog.keep
-        max_level = prog.max_level
-        gates = netlist.gates
-
-        input_ports = [
-            (p.name, p.nets)
-            for p in netlist.ports.values()
-            if p.direction is PortDirection.INPUT
-        ]
-        detections = result.detections
-        detected = result.detected
-
-        reps = _graded_reps(fault_list, skip, only)
-        for start in range(0, len(reps), self.batch_size):
-            batch = reps[start : start + self.batch_size]
-            self._run_seq_batch(
-                batch, fault_list, cycles, good_values, dffs, n_nets,
-                input_ports, level_fns, driven_at, gate_level, keep,
-                max_level, gates, obs_per_cycle, all_obs,
-                detections, detected,
-            )
-        for rep in reps:
-            if rep not in detected:
-                excited = _excited_sequence(fault_list.fault(rep), trace)
-                detections[rep] = Detection(False, excited=excited)
-
-    def _run_seq_batch(
-        self,
-        batch: Sequence[int],
-        fault_list: FaultList,
-        cycles: Stimulus,
-        good_values: list[list[int]],
-        dffs: Sequence[DFF],
-        n_nets: int,
-        input_ports: list[tuple[str, tuple[int, ...]]],
-        level_fns: Sequence[Callable[[list[int], int], None]],
-        driven_at: Mapping[int, int],
-        gate_level: Mapping[int, int],
-        keep: frozenset[int],
-        max_level: int,
-        gates: Sequence[Gate],
-        obs_per_cycle: list[tuple[int, ...]] | None,
-        all_obs: tuple[int, ...],
-        detections: dict[int, Detection],
-        detected: set[int],
-    ) -> None:
-        n_lanes = len(batch)
-        mask = (1 << n_lanes) - 1
-        lane_reps = list(batch)
-
-        # Injection tables, grouped by the level after which they apply.
-        net_fix: dict[int, dict[int, list[int]]] = {}  # level -> net -> [set, clear]
-        pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}  # level -> gate -> pin -> [s, c]
-        dff_fix: dict[int, list[int]] = {}  # dff index -> [set, clear]
-        for lane, rep in enumerate(lane_reps):
-            fault = fault_list.fault(rep)
-            bit = 1 << lane
-            slot = 0 if fault.stuck else 1
-            if fault.kind is FaultKind.STEM:
-                level = driven_at.get(fault.net, 0)
-                entry = net_fix.setdefault(level, {}).setdefault(
-                    fault.net, [0, 0]
-                )
-                entry[slot] |= bit
-            elif fault.kind is FaultKind.BRANCH:
-                if fault.gate not in keep:
-                    continue  # unobservable cone: cannot be detected
-                level = gate_level[fault.gate]
-                entry = (
-                    pin_fix.setdefault(level, {})
-                    .setdefault(fault.gate, {})
-                    .setdefault(fault.pin, [0, 0])
-                )
-                entry[slot] |= bit
-            else:  # DFF_D
-                entry = dff_fix.setdefault(fault.gate, [0, 0])
-                entry[slot] |= bit
-
-        state = [mask if d.init else 0 for d in dffs]
-        live = mask
-        alive = n_lanes
-
-        for t, cycle in enumerate(cycles):
-            values = [0] * n_nets
-            values[CONST1] = mask
-            for port_name, nets in input_ports:
-                word = cycle.get(port_name, 0)
-                for j, net in enumerate(nets):
-                    values[net] = mask if (word >> j) & 1 else 0
-            for dff, q_word in zip(dffs, state, strict=True):
-                values[dff.q] = q_word
-
-            source_fix = net_fix.get(0)
-            if source_fix:
-                for net, (f_set, f_clear) in source_fix.items():
-                    values[net] = (values[net] & ~f_clear) | f_set
-
-            for level in range(1, max_level + 1):
-                level_fns[level](values, mask)
-                gate_fixes = pin_fix.get(level)
-                if gate_fixes:
-                    for gate_index, pins in gate_fixes.items():
-                        gate = gates[gate_index]
-                        vals = [values[n] for n in gate.inputs]
-                        for pin, (f_set, f_clear) in pins.items():
-                            vals[pin] = (vals[pin] & ~f_clear) | f_set
-                        values[gate.output] = _eval(gate.gtype, vals, mask)
-                fixes = net_fix.get(level)
-                if fixes:
-                    for net, (f_set, f_clear) in fixes.items():
-                        values[net] = (values[net] & ~f_clear) | f_set
-
-            good = good_values[t]
-            obs_nets = all_obs if obs_per_cycle is None else obs_per_cycle[t]
-            diff = 0
-            for net in obs_nets:
-                diff |= (values[net] ^ (mask if good[net] else 0)) & live
-                if diff == live:
-                    break
-            if diff:
-                bits = diff
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    rep = lane_reps[bit.bit_length() - 1]
-                    detections[rep] = Detection(True, t, bit, excited=True)
-                    detected.add(rep)
-                live &= ~diff
-                alive = bin(live).count("1")
-                if not live:
-                    return  # whole batch detected: drop out early
-
-            new_state = [values[d.d] for d in dffs]
-            for dff_index, (f_set, f_clear) in dff_fix.items():
-                new_state[dff_index] = (
-                    (new_state[dff_index] & ~f_clear) | f_set
-                )
-            state = new_state
-
-            if (
-                alive <= n_lanes * self.repack_threshold
-                and n_lanes - alive >= self.min_repack_drop
-            ):
-                survivors = [
-                    lane for lane in range(n_lanes) if (live >> lane) & 1
-                ]
-                repack = _repack_word(survivors)
-                state = [repack(w) for w in state]
-                for fixes in net_fix.values():
-                    for entry in fixes.values():
-                        entry[0] = repack(entry[0])
-                        entry[1] = repack(entry[1])
-                for gate_fixes in pin_fix.values():
-                    for pins in gate_fixes.values():
-                        for entry in pins.values():
-                            entry[0] = repack(entry[0])
-                            entry[1] = repack(entry[1])
-                for entry in dff_fix.values():
-                    entry[0] = repack(entry[0])
-                    entry[1] = repack(entry[1])
-                lane_reps = [lane_reps[lane] for lane in survivors]
-                n_lanes = len(survivors)
-                mask = (1 << n_lanes) - 1
-                live = mask
-                alive = n_lanes
-
-
-def _repack_word(survivors: list[int]) -> Callable[[int], int]:
-    """Compaction closure: move surviving lanes down to a dense prefix."""
-
-    def repack(word: int) -> int:
-        out = 0
-        for new_lane, old_lane in enumerate(survivors):
-            out |= ((word >> old_lane) & 1) << new_lane
-        return out
-
-    return repack
-
-
 # ------------------------------------------------------------ prune modes
 #
 # ``resolve_prune_mode`` moved to :mod:`repro.faultsim.options` (the
@@ -699,42 +216,34 @@ def prune_sets(
     return skip, screen.proven
 
 
-# ----------------------------------------------------------------- registry
+# ----------------------------------------------------------------- selection
 
-_REGISTRY: dict[str, Callable[[], FaultSimEngine]] = {}
+#: Engine names ``GradeOptions(engine=...)`` accepts besides ``"auto"``.
+_ENGINE_NAMES = ("differential", "packed")
 
-
-def register_engine(name: str, factory: Callable[[], FaultSimEngine]) -> None:
-    """Register an engine class under ``name`` (instantiated per grade)."""
-    _REGISTRY[name] = factory
+#: "auto" prefers the packed engine only on combinational circuits at
+#: least this deep: below it (wide, shallow mux trees) word-wide cone
+#: evaluation loses to the differential engine's per-fault early exits.
+AUTO_MIN_DEPTH = 6
 
 
 def engine_names() -> tuple[str, ...]:
-    """Registered engine names, in registration order."""
-    return tuple(_REGISTRY)
+    """The selectable engine names (``"auto"`` excluded)."""
+    return _ENGINE_NAMES
 
 
 def get_engine(name: str) -> FaultSimEngine:
-    """Instantiate the engine registered under ``name``."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(sorted({*_REGISTRY, "auto"}))
-        raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
-    return factory()
+    """Instantiate the engine called ``name`` with its default settings."""
+    if name == "differential":
+        return DifferentialEngine()
+    if name == "packed":
+        # Local import: the packed engine reuses this module's helpers,
+        # so it can only load once the module body has finished.
+        from repro.faultsim.packed import PackedEngine
 
-
-def _packed_factory() -> FaultSimEngine:
-    # Local import: the packed engine reuses this module's helpers, so
-    # it can only load once the module body has finished executing.
-    from repro.faultsim.packed import PackedEngine
-
-    return PackedEngine()
-
-
-register_engine("differential", DifferentialEngine)
-register_engine("batch", BatchEngine)
-register_engine("compiled", CompiledEngine)
-register_engine("packed", _packed_factory)
+        return PackedEngine()
+    known = ", ".join(("auto", *_ENGINE_NAMES))
+    raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
 
 
 def default_engine_name(netlist: Netlist) -> str:
@@ -742,11 +251,28 @@ def default_engine_name(netlist: Netlist) -> str:
 
     Sequential circuits and very shallow combinational ones go to the
     differential engine (per-fault early exits dominate); deep
-    combinational cones go to the compiled engine.
+    combinational cones go to the packed engine.
     """
     if netlist.dffs or depth(netlist) < AUTO_MIN_DEPTH:
         return "differential"
-    return "compiled"
+    return "packed"
+
+
+def resolve_engine(netlist: Netlist, options: GradeOptions) -> FaultSimEngine:
+    """The engine ``options`` select for ``netlist``, ready to grade.
+
+    Folds ``runtime.engine`` in, resolves ``"auto"`` per netlist and
+    hands the packed engine its lane count.  :func:`grade` and the shard
+    workers both build their engine here.
+    """
+    name = options.effective_engine()
+    if name == "auto":
+        name = default_engine_name(netlist)
+    if name == "packed":
+        from repro.faultsim.packed import PackedEngine
+
+        return PackedEngine(lanes=options.lanes)
+    return get_engine(name)
 
 
 # --------------------------------------------------------------- collapsing
@@ -871,53 +397,11 @@ def _grade_collapsed(
 # ------------------------------------------------------------------- facade
 
 
-_DEPRECATION_MESSAGE = (
-    "passing grading options as individual keyword arguments to grade() "
-    "is deprecated; build a GradeOptions and call "
-    "grade(netlist, stimulus, faults, options) (docs/API.md §6 maps "
-    "each keyword to its GradeOptions field)"
-)
-
-
-def _fold_legacy_kwargs(
-    options: GradeOptions | None,
-    legacy: dict[str, object],
-) -> GradeOptions:
-    """One options object from either calling convention.
-
-    ``legacy`` holds only the keywords whose value differs from its
-    default — a non-empty dict means the caller used the deprecated
-    per-keyword surface.
-    """
-    if options is not None:
-        if legacy:
-            raise FaultSimError(
-                "pass GradeOptions or legacy keyword arguments, not both "
-                f"(got options plus {sorted(legacy)})"
-            )
-        return options
-    if legacy:
-        warnings.warn(
-            _DEPRECATION_MESSAGE, DeprecationWarning, stacklevel=3
-        )
-    return GradeOptions(**legacy)  # type: ignore[arg-type]
-
-
 def grade(
     netlist: Netlist,
     stimulus: Stimulus,
     faults: FaultList | None = None,
     options: GradeOptions | None = None,
-    *,
-    engine: str = "auto",
-    observe: ObserveSpec = None,
-    runtime: object | None = None,
-    name: str = "",
-    prune_untestable: bool | str = False,
-    subset: Sequence[int] | None = None,
-    collapse: bool | CollapseMap = False,
-    cache: object | None = None,
-    lanes: int | None = None,
 ) -> CampaignResult:
     """Grade a fault universe against a stimulus — the one entry point.
 
@@ -926,10 +410,7 @@ def grade(
         grade(netlist, stimulus, faults, GradeOptions(engine="packed"))
 
     Every grading knob lives on :class:`GradeOptions` (see its field
-    docs); the per-keyword surface after ``options`` is deprecated — it
-    still works for one release, emits :class:`DeprecationWarning`, and
-    is folded into an options object internally.  Mixing both
-    conventions raises.
+    docs).
 
     Args:
         netlist: the circuit.  DFF-free netlists take ``stimulus`` as an
@@ -948,26 +429,7 @@ def grade(
         fingerprint, the result is replayed from disk with
         ``cache_hit=True`` and zero simulated classes.
     """
-    legacy: dict[str, object] = {}
-    if engine != "auto":
-        legacy["engine"] = engine
-    if observe is not None:
-        legacy["observe"] = observe
-    if runtime is not None:
-        legacy["runtime"] = runtime
-    if name:
-        legacy["name"] = name
-    if prune_untestable is not False:
-        legacy["prune_untestable"] = prune_untestable
-    if subset is not None:
-        legacy["subset"] = subset
-    if collapse is not False:
-        legacy["collapse"] = collapse
-    if cache is not None:
-        legacy["cache"] = cache
-    if lanes is not None:
-        legacy["lanes"] = lanes
-    opts = _fold_legacy_kwargs(options, legacy)
+    opts = options if options is not None else GradeOptions()
     if opts.reach is True:
         raise FaultSimError(
             "grade() has no program to analyze; reach=True is a "
@@ -1000,13 +462,7 @@ def grade(
             cmap = compute_collapse(netlist, fault_list)
     plan = ObservePlan.from_spec(opts.observe, len(stimulus), netlist)
     label = opts.name or netlist.name
-    spec = opts.effective_engine()
-    if spec == "auto":
-        spec = default_engine_name(netlist)
-    selected = get_engine(spec)
-    configure = getattr(selected, "configure", None)
-    if configure is not None:
-        configure(opts)
+    selected = resolve_engine(netlist, opts)
     mode = opts.prune_mode
 
     # Persistent store: activate it for good-trace sharing either way,

@@ -1,9 +1,10 @@
-"""Netlist lowering and code generation for the compiled fault-sim engine.
+"""Netlist lowering and code generation for the faulty-machine kernels.
 
-The compiled engine (:mod:`repro.faultsim.engine`) lowers a levelized
+The packed engine (:mod:`repro.faultsim.packed`) and the good-machine
+simulator (:mod:`repro.faultsim.simulator`) lower a levelized
 :class:`~repro.netlist.netlist.Netlist` **once** into a flat straight-line
-program over lane words and executes it through generated Python code
-(``exec``-compiled once, then called per fault or per cycle).  The lowering
+program over lane words and execute it through generated Python code
+(``exec``-compiled once, then called per word or per cycle).  The lowering
 pipeline:
 
 1. **dead-net elimination** — a reverse-levelized cone walk keeps only the
@@ -20,24 +21,16 @@ pipeline:
    (``NOT`` as ``x ^ M``, ``NAND`` as ``(a & b) ^ M``, ``MUX2`` as
    ``a ^ ((a ^ b) & s)`` — three operations instead of four and no ``~``,
    which would leave the word domain);
-4. **code generation** — two shapes share steps 1–3:
-
-   * :func:`compile_comb` emits one function for the whole circuit with a
-     per-net *local variable* (no list subscripts in the hot path) and a
-     ``start`` level guard: levels below the fault site load recorded good
-     values instead of recomputing, and the detection compare is fused
-     into the return expression, grouped by observe mask so it
-     short-circuits on the first difference;
-   * :func:`compile_seq` emits one function per level writing the net
-     array in place, so batched lane evaluation can interleave fault
-     injection between levels.  The good-machine simulator
-     (:mod:`repro.faultsim.simulator`) runs the same shape with every
-     gate output as a root, so :func:`gate_expr` is the only statement
-     of gate semantics on the good-machine side.
+4. **code generation** — :func:`compile_seq` emits one function per level
+   writing the net array in place, so lane-parallel evaluation can
+   interleave fault injection between levels.  The good-machine simulator
+   runs the same shape with every gate output as a root, so
+   :func:`gate_expr` is the only statement of gate semantics on the
+   good-machine side.
 
 Compiled programs are cached process-wide by ``(structural hash,
-observation signature)`` — re-grading a component (cache-warm runs,
-resumes, equivalence suites) skips both lowering and ``exec``.
+observation roots)`` — re-grading a component (cache-warm runs, resumes,
+equivalence suites) skips both lowering and ``exec``.
 """
 
 from __future__ import annotations
@@ -181,38 +174,6 @@ def cone_keep(netlist: Netlist, roots: Iterable[int]) -> set[int]:
 
 
 @dataclass(frozen=True)
-class CompiledComb:
-    """One netlist lowered for per-fault PPSFP evaluation.
-
-    Attributes:
-        fn: generated ``fn(v, M, om, start) -> int`` — evaluates levels
-            ``>= start`` against the (possibly fault-mutated) good-value
-            array ``v`` and returns a non-zero lane word on detection
-            (a *partial witness*: the first differing observe group).
-        masks: unique full-width observe masks; ``om`` passes their
-            chunk-relative slices positionally.
-        obs_net_masks: observed net -> full-width observe mask.
-        driven_at: net -> driving level (sources are level 0).
-        gate_level: gate index -> level.
-        has_reader: nets read by at least one kept gate.
-        n_gates_kept / n_gates_total: dead-net elimination accounting.
-        n_folded_operands: constant operand slots folded away.
-        source: the generated Python source (debugging aid).
-    """
-
-    fn: Callable[[list[int], int, tuple[int, ...], int], int]
-    masks: tuple[int, ...]
-    obs_net_masks: dict[int, int]
-    driven_at: dict[int, int]
-    gate_level: dict[int, int]
-    has_reader: frozenset[int]
-    n_gates_kept: int
-    n_gates_total: int
-    n_folded_operands: int
-    source: str
-
-
-@dataclass(frozen=True)
 class CompiledSeq:
     """One netlist lowered for batched-lane sequential evaluation.
 
@@ -245,97 +206,6 @@ def _driven_at(netlist: Netlist, gate_level: dict[int, int]) -> dict[int, int]:
 def _count_folded(gates: Sequence[Gate]) -> int:
     return sum(
         1 for g in gates for n in g.inputs if n in (CONST0, CONST1)
-    )
-
-
-def compile_comb(
-    netlist: Netlist, obs_net_masks: dict[int, int]
-) -> CompiledComb:
-    """Lower a combinational netlist for PPSFP grading (see module doc)."""
-    gate_level = levels(netlist)
-    order = levelize(netlist)
-    obs_net_masks = {n: m for n, m in obs_net_masks.items() if m}
-    keep = cone_keep(netlist, obs_net_masks)
-    kept = [g for g in order if g.index in keep]
-    driven_at = _driven_at(netlist, gate_level)
-
-    by_level: dict[int, list[Gate]] = {}
-    for g in kept:
-        by_level.setdefault(gate_level[g.index], []).append(g)
-    max_level = max(by_level, default=0)
-
-    read_nets: set[int] = set(obs_net_masks)
-    for g in kept:
-        read_nets.update(g.inputs)
-    read_nets.discard(CONST0)
-    read_nets.discard(CONST1)
-
-    def opnd(n: int) -> tuple[str, str]:
-        if n == CONST0:
-            return _ZERO
-        if n == CONST1:
-            return _ONE
-        return ("var", f"n{n}")
-
-    lines = ["def _run(v, M, om, start):"]
-    for n in sorted(read_nets):
-        if driven_at.get(n, 0) == 0:
-            lines.append(f"    n{n} = v[{n}]")
-    for level in range(1, max_level + 1):
-        gates = by_level.get(level, [])
-        computes = [
-            f"        n{g.output} = "
-            f"{gate_expr(g.gtype, [opnd(n) for n in g.inputs])}"
-            for g in gates
-        ]
-        loads = [
-            f"        n{g.output} = v[{g.output}]"
-            for g in gates
-            if g.output in read_nets
-        ]
-        if not computes and not loads:
-            continue
-        lines.append(f"    if start <= {level}:")
-        lines.extend(computes or ["        pass"])
-        if loads:
-            lines.append("    else:")
-            lines.extend(loads)
-
-    # Detection fused into the return: observed nets grouped by their
-    # (full-width) observe mask; groups short-circuit with `or`.
-    masks = tuple(sorted(set(obs_net_masks.values())))
-    mask_index = {m: i for i, m in enumerate(masks)}
-    groups: dict[int, list[int]] = {}
-    for n in sorted(obs_net_masks):
-        groups.setdefault(mask_index[obs_net_masks[n]], []).append(n)
-    parts = []
-    for mi in sorted(groups):
-        xors = " | ".join(f"(n{n} ^ v[{n}])" for n in groups[mi])
-        parts.append(f"(({xors}) & om[{mi}])")
-    lines.append("    return " + (" or ".join(parts) if parts else "0"))
-
-    source = "\n".join(lines)
-    namespace: dict[str, object] = {}
-    exec(compile(source, "<faultsim-comb>", "exec"), namespace)
-
-    has_reader: set[int] = set()
-    for g in kept:
-        has_reader.update(g.inputs)
-
-    return CompiledComb(
-        fn=cast(
-            "Callable[[list[int], int, tuple[int, ...], int], int]",
-            namespace["_run"],
-        ),
-        masks=masks,
-        obs_net_masks=dict(obs_net_masks),
-        driven_at=driven_at,
-        gate_level=gate_level,
-        has_reader=frozenset(has_reader),
-        n_gates_kept=len(kept),
-        n_gates_total=len(netlist.gates),
-        n_folded_operands=_count_folded(kept),
-        source=source,
     )
 
 
@@ -399,45 +269,24 @@ def compile_seq(netlist: Netlist, roots: Iterable[int]) -> CompiledSeq:
 # ------------------------------------------------------ compiled-program cache
 
 _MAX_PROGRAMS = 16
-_CacheKey = tuple[str, str, tuple[object, ...]]
-_programs: "OrderedDict[_CacheKey, CompiledComb | CompiledSeq]" = OrderedDict()
-
-
-def _cached(
-    key: _CacheKey, build: Callable[[], "CompiledComb | CompiledSeq"]
-) -> CompiledComb | CompiledSeq:
-    prog = _programs.get(key)
-    if prog is not None:
-        _programs.move_to_end(key)
-        return prog
-    prog = build()
-    _programs[key] = prog
-    while len(_programs) > _MAX_PROGRAMS:
-        _programs.popitem(last=False)
-    return prog
-
-
-def cached_compile_comb(
-    netlist: Netlist, obs_net_masks: dict[int, int]
-) -> CompiledComb:
-    """`compile_comb` through the process-wide program cache."""
-    key = (
-        "comb",
-        structural_hash(netlist),
-        tuple(sorted(obs_net_masks.items())),
-    )
-    prog = _cached(key, lambda: compile_comb(netlist, obs_net_masks))
-    assert isinstance(prog, CompiledComb)
-    return prog
+_programs: "OrderedDict[tuple[str, tuple[int, ...]], CompiledSeq]" = (
+    OrderedDict()
+)
 
 
 def cached_compile_seq(
     netlist: Netlist, roots: Sequence[int]
 ) -> CompiledSeq:
-    """`compile_seq` through the process-wide program cache."""
-    key = ("seq", structural_hash(netlist), tuple(sorted(set(roots))))
-    prog = _cached(key, lambda: compile_seq(netlist, roots))
-    assert isinstance(prog, CompiledSeq)
+    """`compile_seq` through the process-wide program cache (LRU)."""
+    key = (structural_hash(netlist), tuple(sorted(set(roots))))
+    prog = _programs.get(key)
+    if prog is not None:
+        _programs.move_to_end(key)
+        return prog
+    prog = compile_seq(netlist, roots)
+    _programs[key] = prog
+    while len(_programs) > _MAX_PROGRAMS:
+        _programs.popitem(last=False)
     return prog
 
 

@@ -169,25 +169,6 @@ class ObservePlan:
             memo[key] = entry
         return entry[1]
 
-    def port_name_lists(self) -> list[tuple[str, ...]] | None:
-        """Per entry, the observed port names (batch-engine form).
-
-        A port with an explicit zero lane mask is dropped; any non-zero
-        (or all-lanes) mask observes the port fully — batch lanes carry
-        *faults*, so partial lane masks are not meaningful there.
-        """
-        if self.entries is None:
-            return None
-        entries = self.entries
-        return self._memo(  # type: ignore[return-value]
-            ("ports",),
-            None,
-            lambda: [
-                tuple(n for n, m in entry if m is None or m)
-                for entry in entries
-            ],
-        )
-
     def net_masks(
         self, netlist: Netlist, full_mask: int
     ) -> list[dict[int, int]] | None:

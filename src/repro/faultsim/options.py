@@ -77,8 +77,8 @@ class GradeOptions:
     """Every knob :func:`repro.faultsim.grade` accepts, validated once.
 
     Attributes:
-        engine: ``"auto"`` (pick per netlist) or a registered engine
-            name (see :func:`repro.faultsim.engine.engine_names`).
+        engine: ``"auto"`` (pick per netlist), ``"differential"`` or
+            ``"packed"`` (see :func:`repro.faultsim.engine.engine_names`).
         observe: observability spec, any form accepted by
             :meth:`~repro.faultsim.observe.ObservePlan.from_spec`
             (``None`` = every output port, every entry).
@@ -110,7 +110,7 @@ class GradeOptions:
             construction).  ``None`` keeps grading purely in-memory.
         lanes: lane-group count for the ``packed`` engine (good machine
             in group 0, up to ``lanes - 1`` fault classes per word).
-            Other engines ignore it.
+            The differential engine ignores it.
         runtime: optional :class:`~repro.runtime.RuntimeConfig`; its
             ``engine`` field is honoured while ``engine`` is ``"auto"``.
     """
@@ -127,7 +127,7 @@ class GradeOptions:
     runtime: object | None = None
 
     def __post_init__(self) -> None:
-        # Local import: the engine registry imports this module at load
+        # Local import: the engine module imports this module at load
         # time, so name validation must resolve it lazily.
         from repro.faultsim.engine import engine_names
 

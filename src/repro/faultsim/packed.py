@@ -1,12 +1,12 @@
 """Fault-parallel bit-packed grading: the ``packed`` engine.
 
-The compiled engine (:mod:`repro.faultsim.engine`) is *pattern*-parallel:
-one fault at a time rides a whole chunk of patterns through generated
-code.  This engine is additionally *fault*-parallel — the classic
-parallel-fault trick: up to ``lanes - 1`` fault classes are packed into
-one Python big-int next to the good machine, so each generated kernel
-evaluation serves a whole group of faults at once and the per-gate
-interpreter overhead is amortized across the group.
+The classic parallel-fault trick over generated level kernels
+(:func:`repro.faultsim.lowering.compile_seq`): up to ``lanes - 1`` fault
+classes are packed into one Python big-int next to the good machine, so
+each kernel evaluation serves a whole group of faults at once and the
+per-gate interpreter overhead is amortized across the group.  Combinational
+words are additionally *pattern*-parallel — every fault group carries a
+whole chunk of patterns.
 
 Data layout (combinational).  One word carries ``G`` *lane groups* of
 ``W`` pattern lanes each — group 0 is the good machine, group ``i >= 1``
@@ -26,28 +26,31 @@ Lane repacking.  Detected faults leave the pending list after every
 pattern chunk, and the next chunk re-packs the survivors densely into
 fresh groups — wider chunks only ever carry the stubborn faults.
 
-Cone fusion.  Unlike the other engines this one preserves the *caller's*
-``only`` order instead of re-canonicalising: collapsed grading passes
-super-class sim units in :meth:`CollapseMap.simulation_order`, which
-keeps dominance clusters (shared fanout cones, PR 6) contiguous — so the
+Cone fusion.  Unlike the differential engine this one preserves the
+*caller's* ``only`` order instead of re-canonicalising: collapsed grading
+passes super-class sim units in :meth:`CollapseMap.simulation_order`,
+which keeps dominance clusters (shared fanout cones) contiguous — so the
 members of one cone land in the same word and one kernel evaluation
 serves the whole super-class group.  Verdicts are order-independent, so
 this is purely a locality win.
 
-Sequential netlists run the compiled engine's batched cycle walk with
-the good machine packed into lane 0 — the detection reference is read
-out of the word itself instead of the recorded trace.
+Sequential netlists run a batched cycle walk with the good machine
+packed into lane 0 — the detection reference is read out of the word
+itself instead of the recorded trace.  Detected faults leave the live
+mask at once, and the batch is repacked onto fewer lanes when occupancy
+falls below ``repack_threshold`` (smaller words make every big-int op
+cheaper); an emptied batch exits the cycle walk early.
 
-Verdicts are bit-identical to the other engines (the cross-engine
-equivalence suite and ``benchmarks/bench_packed.py`` gate this):
-``detected``, ``excited`` and the first detecting cycle agree;
+Verdicts are bit-identical to the ``differential`` reference engine (the
+cross-engine equivalence suite and ``benchmarks/bench_packed.py`` gate
+this): ``detected``, ``excited`` and the first detecting cycle agree;
 ``Detection.lanes`` remains a partial witness as documented in
 :mod:`repro.faultsim.engine`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection
@@ -55,29 +58,33 @@ from repro.faultsim.engine import (
     Stimulus,
     _excited_sequence,
     _graded_reps,
-    _output_nets,
-    _repack_word,
 )
 from repro.faultsim.faults import FaultKind, FaultList
 from repro.faultsim.harness import CampaignResult
-from repro.faultsim.lowering import cached_compile_seq
+from repro.faultsim.lowering import CompiledSeq, cached_compile_seq
 from repro.faultsim.observe import ObservePlan
-from repro.faultsim.options import DEFAULT_LANES, GradeOptions
-from repro.faultsim.parallel import _eval
+from repro.faultsim.options import DEFAULT_LANES
 from repro.faultsim.trace_cache import good_trace_for
-from repro.netlist.netlist import CONST0, CONST1, Netlist, PortDirection
+from repro.netlist.gates import eval_gate
+from repro.netlist.netlist import (
+    CONST0,
+    CONST1,
+    DFF,
+    Gate,
+    Netlist,
+    PortDirection,
+)
 
 #: Pending combinational fault: (rep, stuck, inject level, net, gate, pin);
 #: ``gate`` is -1 for stem faults.
 _PackedEntry = tuple[int, int, int, int, int, int]
 
-#: Pattern widths per combinational pass.  Narrower than the compiled
-#: engine's chunk schedule on purpose: every per-chunk cost here — good
-#: value replication, kernel evaluation, injection masks — scales with
-#: ``lane groups x width`` bits, and the vast majority of faults are
-#: detected within the first few dozen patterns, so starting narrow and
-#: growing geometrically lets the cheap passes kill the easy faults
-#: before any wide word is ever built.
+#: Pattern widths per combinational pass.  Narrow on purpose: every
+#: per-chunk cost — good value replication, kernel evaluation, injection
+#: masks — scales with ``lane groups x width`` bits, and the vast majority
+#: of faults are detected within the first few dozen patterns, so starting
+#: narrow and growing geometrically lets the cheap passes kill the easy
+#: faults before any wide word is ever built.
 PACKED_CHUNK_SCHEDULE = (32, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 
@@ -114,6 +121,27 @@ def _replicate(value: int, width: int, n_groups: int, full: int) -> int:
     return rep & full
 
 
+def _output_nets(netlist: Netlist) -> tuple[int, ...]:
+    return tuple(
+        net
+        for p in netlist.ports.values()
+        if p.direction is PortDirection.OUTPUT
+        for net in p.nets
+    )
+
+
+def _repack_word(survivors: list[int]) -> Callable[[int], int]:
+    """Compaction closure: move surviving lanes down to a dense prefix."""
+
+    def repack(word: int) -> int:
+        out = 0
+        for new_lane, old_lane in enumerate(survivors):
+            out |= ((word >> old_lane) & 1) << new_lane
+        return out
+
+    return repack
+
+
 class PackedEngine:
     """Fault-parallel bit-packed grading over generated level kernels."""
 
@@ -130,10 +158,6 @@ class PackedEngine:
         self.lanes = lanes
         self.repack_threshold = repack_threshold
         self.min_repack_drop = min_repack_drop
-
-    def configure(self, options: GradeOptions) -> None:
-        """Engine-config hook called by the grading facade."""
-        self.lanes = options.lanes
 
     # ------------------------------------------------------------- facade
 
@@ -223,9 +247,9 @@ class PackedEngine:
         for n in sorted(needed):
             by_level.setdefault(driven_at.get(n, 0), []).append(n)
 
-        # Full-width excitation screen (identical to the compiled
-        # engine), then dead-cone screen: a fault whose effect no kernel
-        # reads and no entry observes can never be detected.
+        # Full-width excitation screen (a site the stimulus never drives
+        # to the opposite value), then dead-cone screen (an effect no
+        # kernel reads and no entry observes): neither can be detected.
         pending: list[_PackedEntry] = []
         for rep in reps:
             fault = fault_list.fault(rep)
@@ -314,8 +338,8 @@ class PackedEngine:
         good_rep: dict[int, int],
         obs_pack: list[tuple[int, int, int]],
         by_level: dict[int, list[int]],
-        level_fns: Sequence[object],
-        gates: Sequence[object],
+        level_fns: Sequence[Callable[[list[int], int], None]],
+        gates: Sequence[Gate],
         n_nets: int,
         max_level: int,
         width: int,
@@ -328,7 +352,7 @@ class PackedEngine:
     ) -> list[_PackedEntry]:
         """One word, one chunk: good machine + ``len(batch)`` faults."""
         # Injection tables: span masks per group, applied between levels
-        # exactly like the compiled sequential walk.
+        # exactly like the sequential walk.
         net_fix: dict[int, dict[int, list[int]]] = {}
         pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}
         min_level = max_level
@@ -372,7 +396,7 @@ class PackedEngine:
             )
 
         for level in range(eval_from, max_level + 1):
-            level_fns[level](v, full)  # type: ignore[operator]
+            level_fns[level](v, full)
             if level in pin_fix or level in net_fix:
                 self._apply_fixes(
                     v, pin_fix.get(level), net_fix.get(level), gates, full
@@ -407,18 +431,16 @@ class PackedEngine:
         v: list[int],
         gate_fixes: dict[int, dict[int, list[int]]] | None,
         fixes: dict[int, list[int]] | None,
-        gates: Sequence[object],
+        gates: Sequence[Gate],
         full: int,
     ) -> None:
         if gate_fixes:
             for gate_index, pins in gate_fixes.items():
                 gate = gates[gate_index]
-                vals = [v[n] for n in gate.inputs]  # type: ignore[attr-defined]
+                vals = [v[n] for n in gate.inputs]
                 for pin, (f_set, f_clear) in pins.items():
                     vals[pin] = (vals[pin] & ~f_clear) | f_set
-                v[gate.output] = _eval(  # type: ignore[attr-defined]
-                    gate.gtype, vals, full  # type: ignore[attr-defined]
-                )
+                v[gate.output] = eval_gate(gate.gtype, vals, full)
         if fixes:
             for net, (f_set, f_clear) in fixes.items():
                 v[net] = (v[net] & ~f_clear) | f_set
@@ -457,9 +479,9 @@ class PackedEngine:
         detections = result.detections
         detected = result.detected
 
-        # The compiled engine's sequential walk is already fault-parallel
-        # (256 lanes per word); narrower words would just multiply the
-        # number of cycle walks, so never go below its batch size.
+        # Sequential words carry no pattern lanes, so narrow words would
+        # just multiply the number of cycle walks: never go below 255
+        # faults per word.
         capacity = max(self.lanes - 1, 255)
         for start in range(0, len(reps), capacity):
             batch = reps[start : start + capacity]
@@ -480,29 +502,29 @@ class PackedEngine:
         batch: Sequence[int],
         fault_list: FaultList,
         cycles: Stimulus,
-        dffs: Sequence[object],
+        dffs: Sequence[DFF],
         n_nets: int,
         input_ports: list[tuple[str, tuple[int, ...]]],
-        prog: object,
-        gates: Sequence[object],
+        prog: CompiledSeq,
+        gates: Sequence[Gate],
         obs_per_cycle: list[tuple[int, ...]] | None,
         all_obs: tuple[int, ...],
         detections: dict[int, Detection],
         detected: set[int],
     ) -> None:
-        """Compiled-style cycle walk with the good machine in lane 0.
+        """Batched cycle walk with the good machine in lane 0.
 
         Lane ``i + 1`` carries fault ``batch[i]``; lane 0 gets no
         injection, so its trajectory *is* the good machine and the
         detection reference is read out of the word (bit 0) instead of
-        the recorded trace.  Lane values match the compiled engine's
-        lane-for-lane, so first detecting cycles are identical.
+        the recorded trace.  Every lane is one exact faulty machine, so
+        first detecting cycles match the differential engine's.
         """
-        level_fns = prog.level_fns  # type: ignore[attr-defined]
-        driven_at = prog.driven_at  # type: ignore[attr-defined]
-        gate_level = prog.gate_level  # type: ignore[attr-defined]
-        keep = prog.keep  # type: ignore[attr-defined]
-        max_level = prog.max_level  # type: ignore[attr-defined]
+        level_fns = prog.level_fns
+        driven_at = prog.driven_at
+        gate_level = prog.gate_level
+        keep = prog.keep
+        max_level = prog.max_level
 
         n_lanes = len(batch) + 1
         mask = (1 << n_lanes) - 1
@@ -537,10 +559,7 @@ class PackedEngine:
                 entry = dff_fix.setdefault(fault.gate, [0, 0])
                 entry[slot] |= bit
 
-        state = [
-            mask if d.init else 0  # type: ignore[attr-defined]
-            for d in dffs
-        ]
+        state = [mask if d.init else 0 for d in dffs]
         live = mask & ~1  # lane 0 is the reference, never "detected"
         alive = n_lanes - 1
 
@@ -552,7 +571,7 @@ class PackedEngine:
                 for j, net in enumerate(nets):
                     values[net] = mask if (word >> j) & 1 else 0
             for dff, q_word in zip(dffs, state, strict=True):
-                values[dff.q] = q_word  # type: ignore[attr-defined]
+                values[dff.q] = q_word
 
             source_fix = net_fix.get(0)
             if source_fix:
@@ -565,14 +584,11 @@ class PackedEngine:
                 if gate_fixes:
                     for gate_index, pins in gate_fixes.items():
                         gate = gates[gate_index]
-                        vals = [
-                            values[n]
-                            for n in gate.inputs  # type: ignore[attr-defined]
-                        ]
+                        vals = [values[n] for n in gate.inputs]
                         for pin, (f_set, f_clear) in pins.items():
                             vals[pin] = (vals[pin] & ~f_clear) | f_set
-                        values[gate.output] = _eval(  # type: ignore[attr-defined]
-                            gate.gtype, vals, mask  # type: ignore[attr-defined]
+                        values[gate.output] = eval_gate(
+                            gate.gtype, vals, mask
                         )
                 fixes = net_fix.get(level)
                 if fixes:
@@ -602,10 +618,7 @@ class PackedEngine:
                 if not live:
                     return  # every fault lane detected: drop out early
 
-            new_state = [
-                values[d.d]  # type: ignore[attr-defined]
-                for d in dffs
-            ]
+            new_state = [values[d.d] for d in dffs]
             for dff_index, (f_set, f_clear) in dff_fix.items():
                 new_state[dff_index] = (
                     (new_state[dff_index] & ~f_clear) | f_set

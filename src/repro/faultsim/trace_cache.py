@@ -2,8 +2,8 @@
 
 Grading one component requires the *good machine* trajectory — the
 fault-free net values for every stimulus entry.  Every engine needs it
-(the differential engine diffs against it, the compiled engine compares
-lanes against it, the batch engine derives per-fault excitation from it),
+(the differential engine diffs against it, the packed engine replicates
+it into its lane groups and derives per-fault excitation from it),
 and a campaign frequently replays the same ``(netlist, stimulus)`` pair:
 cache-warm re-grades, resumed campaigns re-validating a journal, the
 cross-engine equivalence suite, and benchmarks measuring several engines

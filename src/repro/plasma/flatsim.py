@@ -8,11 +8,11 @@ response stream, Figure 1).
 
 Mechanically: a good gate-level run records the per-cycle primary inputs
 (the instruction and data words the memories returned); the recorded
-sequence is then graded by the lane-batched engine
-(:class:`~repro.faultsim.engine.BatchEngine`) with every bus output
-observed on every cycle.  Replaying recorded inputs is sound for
-detection because any divergence a fault could cause in the fetch/data
-streams must first appear on the observed bus outputs themselves.
+sequence is then graded through the :func:`~repro.faultsim.engine.grade`
+facade with every bus output observed on every cycle.  Replaying
+recorded inputs is sound for detection because any divergence a fault
+could cause in the fetch/data streams must first appear on the observed
+bus outputs themselves.
 
 Grading all ~30k collapsed faults of the full core this way costs hours in
 pure Python, so :func:`flat_campaign` supports *sampling*: a uniform random
@@ -27,9 +27,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.faultsim.engine import BatchEngine
+from repro.faultsim.engine import grade
 from repro.faultsim.faults import FaultList, build_fault_list
-from repro.faultsim.observe import ObservePlan
+from repro.faultsim.options import GradeOptions
 from repro.isa.program import Program
 from repro.netlist.netlist import Netlist
 from repro.plasma.cosim import GateLevelPlasma
@@ -109,7 +109,6 @@ def flat_campaign(
     netlist: Netlist | None = None,
     sample: int | None = 1000,
     seed: int = 2003,
-    batch_size: int = 250,
     fault_list: FaultList | None = None,
 ) -> FlatResult:
     """Fault-grade the full processor executing ``program``.
@@ -119,7 +118,7 @@ def flat_campaign(
         netlist: composed processor (built fresh when omitted).
         sample: number of collapsed fault classes to grade (None = all).
         seed: sampling seed.
-        batch_size: faults per parallel-simulation pass.
+        fault_list: the processor's fault universe (built when omitted).
 
     Returns:
         The (sampled) flat coverage estimate.
@@ -137,12 +136,9 @@ def flat_campaign(
     else:
         chosen = list(reps)
 
-    engine = BatchEngine(batch_size=batch_size)
-    plan = ObservePlan.from_spec(observe, len(cycle_inputs), netlist)
-    skip = frozenset(set(reps) - set(chosen))
-    result = engine.grade(
-        netlist, cycle_inputs, fault_list, plan, name="flat", skip=skip
-    )
+    result = grade(netlist, cycle_inputs, fault_list, GradeOptions(
+        observe=observe, name="flat", subset=chosen,
+    ))
     detected = len(result.detected)
     return FlatResult(
         n_faults_total=len(reps),

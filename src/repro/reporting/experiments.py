@@ -124,12 +124,12 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "benchmarks/bench_ablation_priority.py",
     ),
     Experiment(
-        "E1", "Engine validation (differential vs parallel-fault)",
+        "E1", "Engine validation (differential vs packed)",
         "Grade the same component/stimulus/observability through the "
-        "event-driven differential engine and the lane-batched "
-        "parallel-fault engine; verdicts must agree fault by fault",
-        "Phase A BSH trace",
-        ("repro.faultsim.differential", "repro.faultsim.parallel"),
+        "event-driven differential engine and the fault-parallel packed "
+        "engine; verdicts must agree fault by fault",
+        "Phase A ALU and BSH traces",
+        ("repro.faultsim.differential", "repro.faultsim.packed"),
         "benchmarks/bench_engines.py",
         ("two independent engines, identical verdicts",),
     ),
@@ -140,7 +140,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "fault-weighted aggregate of the per-component results",
         "Phase A traces over the composed cluster",
         ("repro.netlist.compose", "repro.plasma.cluster",
-         "repro.faultsim.harness"),
+         "repro.faultsim.engine"),
         "benchmarks/bench_validation_flat_cluster.py",
         ("flat and hierarchical coverage agree within boundary bookkeeping "
          "(a fraction of a percent in our runs)",),
@@ -162,9 +162,9 @@ EXPERIMENTS: tuple[Experiment, ...] = (
         "self-test program, observing the memory bus every cycle (the "
         "paper's FlexTest setup); a uniform fault sample estimates the "
         "flat coverage, which must agree with the hierarchical Table 5",
-        "Phase A+B program over PlasmaTop in the parallel-fault simulator, "
+        "Phase A+B program over PlasmaTop in the fault simulator, "
         "uniform random fault sample with a 95% confidence interval",
-        ("repro.plasma.flatsim", "repro.faultsim.parallel"),
+        ("repro.plasma.flatsim", "repro.faultsim.engine"),
         "benchmarks/bench_validation_flat_processor.py",
         ("flat estimate and hierarchical figure agree within the sampling "
          "interval",),

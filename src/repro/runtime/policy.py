@@ -61,8 +61,8 @@ class RuntimeConfig:
         isolate: run each job in its own worker process.
         sleep: injectable sleep function (tests replace it to avoid
             real backoff waits).
-        engine: fault-sim engine used by campaign jobs — ``"auto"`` or a
-            name registered with :mod:`repro.faultsim.engine`.  Validated
+        engine: fault-sim engine used by campaign jobs — ``"auto"`` or one
+            of :func:`repro.faultsim.engine.engine_names`.  Validated
             lazily by the facade so this module stays independent of the
             fault simulator.
         jobs: worker-process count for the sharded parallel scheduler.

@@ -8,7 +8,7 @@ the throughput half of the runtime:
 * :class:`WorkerPool` — ``jobs`` long-lived worker processes.  Each
   worker receives ``(fn, args)`` tasks over its own duplex pipe and keeps
   executing tasks until told to stop, so per-process state (built
-  netlists, compiled engine programs, good-trace caches) is paid once per
+  netlists, compiled engine kernels, good-trace caches) is paid once per
   worker and amortized over every shard it grades.
 * :class:`ShardScheduler` — drives a list of
   :class:`~repro.runtime.sharding.ShardTask` through the pool with the

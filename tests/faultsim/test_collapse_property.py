@@ -26,7 +26,7 @@ from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 
 def random_comb(seed: int, n_gates: int = 25) -> "Netlist":

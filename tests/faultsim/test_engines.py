@@ -1,15 +1,14 @@
 """Cross-engine equivalence and facade tests for the grade() API.
 
 Every shipped Plasma component is graded with its traced phase-A stimulus
-(truncated to keep tier-1 fast) through all four registered engines;
-verdicts must agree fault by fault and the Table 5 rows must be
-bit-identical.  The compiled engine's fault dropping and lane repacking
-are additionally stress-tested against the differential engine with
-deliberately tiny batch sizes and aggressive repack settings.
+(truncated to keep tier-1 fast) through both engines; verdicts must agree
+fault by fault and the Table 5 rows must be bit-identical.  The packed
+engine's fault dropping and lane repacking are additionally stress-tested
+against the differential reference engine with deliberately narrow words
+and aggressive repack settings.
 """
 
 import random
-import warnings
 
 import pytest
 
@@ -19,15 +18,13 @@ from repro.errors import FaultSimError
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.faultsim.engine import (
     AUTO_MIN_DEPTH,
-    CompiledEngine,
     default_engine_name,
     engine_names,
     get_engine,
 )
-from repro.faultsim.harness import run_combinational, run_sequential
 from repro.faultsim.lowering import clear_program_cache
 from repro.faultsim.observe import ObservePlan
-from repro.faultsim.parallel import ParallelFaultSimulator
+from repro.faultsim.packed import PackedEngine
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.library import build_register_file
 from repro.netlist.builder import NetlistBuilder
@@ -35,7 +32,7 @@ from repro.netlist.levelize import depth
 from repro.plasma.components import COMPONENTS, build_component
 from repro.runtime import RuntimeConfig
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 #: Stimulus truncation per component (cycles for sequential components,
 #: patterns for combinational ones) — full traces make tier-1 too slow.
@@ -44,8 +41,8 @@ STIMULUS_CAP = {
     "GL": 300, "ALU": 150, "BSH": 200, "CTRL": 300, "BMUX": 300,
 }
 
-#: Fault-class sampling for the two largest components (the batch and
-#: differential engines are too slow for their full universes here).
+#: Fault-class sampling for the two largest components (the differential
+#: engine is too slow for their full universes here).
 FAULT_SAMPLE = {"RegF": 350, "MulD": 400}
 
 
@@ -140,7 +137,7 @@ class TestTraceCacheTransparency:
         clear_program_cache()
         cache.reset_stats()
 
-        opts = GradeOptions(engine="compiled", observe=observe)
+        opts = GradeOptions(engine="packed", observe=observe)
         cold = grade(netlist, stimulus, options=opts)
         hits_after_cold = cache.stats.hits
         warm = grade(netlist, stimulus, options=opts)
@@ -158,7 +155,7 @@ class TestTraceCacheTransparency:
         cycles = regfile_cycles()
         cache = global_trace_cache()
         cache.clear()
-        opts = GradeOptions(engine="compiled")
+        opts = GradeOptions(engine="packed")
         grade(build_register_file(n_registers=4, width=4), cycles,
               options=opts)
         misses = cache.stats.misses
@@ -180,25 +177,30 @@ class TestDroppingAndRepacking:
         want = get_engine("differential").grade(
             netlist, cycles, fault_list, plan
         )
-        for batch_size, threshold, min_drop in (
-            (7, 1.0, 1), (33, 0.9, 2), (64, 0.5, 8),
+        # Sequential words hold at least 255 faults, so the narrow
+        # setting still splits the universe over several cycle walks.
+        assert fault_list.n_collapsed > 255
+        for lanes, threshold, min_drop in (
+            (2, 1.0, 1), (64, 0.9, 2), (1024, 0.5, 8),
         ):
-            engine = CompiledEngine(
-                batch_size=batch_size,
+            engine = PackedEngine(
+                lanes=lanes,
                 repack_threshold=threshold,
                 min_repack_drop=min_drop,
             )
             got = engine.grade(netlist, cycles, fault_list, plan)
+            assert set(got.detections) == set(want.detections)
             for rep, d in want.detections.items():
                 g = got.detections[rep]
                 assert (g.detected, g.cycle if d.detected else None,
                         g.excited) == (
                     d.detected, d.cycle if d.detected else None, d.excited
-                ), (batch_size, threshold, min_drop, rep)
+                ), (lanes, threshold, min_drop, rep)
 
     def test_combinational_chunked_dropping_matches_differential(self):
-        # 512 exhaustive patterns span multiple lane chunks, so faults
-        # detected in the first chunk are dropped before later ones.
+        # 512 exhaustive patterns span several pattern chunks, so faults
+        # detected in the first chunk are dropped before later ones; four
+        # lane groups per word split every chunk into many words.
         netlist = adder4()
         patterns = [dict(a=a, x=x, cin=c)
                     for a in range(16) for x in range(16) for c in (0, 1)]
@@ -207,19 +209,28 @@ class TestDroppingAndRepacking:
         want = get_engine("differential").grade(
             netlist, patterns, fault_list, plan
         )
-        got = get_engine("compiled").grade(
-            netlist, patterns, fault_list, plan
-        )
-        assert got.detected == want.detected
-        assert {r: (d.detected, d.excited)
-                for r, d in got.detections.items()} == {
-            r: (d.detected, d.excited) for r, d in want.detections.items()
-        }
+        for engine in (PackedEngine(lanes=4), get_engine("packed")):
+            got = engine.grade(netlist, patterns, fault_list, plan)
+            assert got.detected == want.detected, engine.lanes
+            assert {r: (d.detected, d.excited)
+                    for r, d in got.detections.items()} == {
+                r: (d.detected, d.excited)
+                for r, d in want.detections.items()
+            }, engine.lanes
 
 
 class TestFacade:
     def test_registry_lists_shipped_engines(self):
-        assert set(ENGINES) <= set(engine_names())
+        assert engine_names() == ENGINES
+
+    @pytest.mark.parametrize("name", ["batch", "compiled"])
+    def test_removed_engines_rejected(self, name):
+        with pytest.raises(
+            FaultSimError, match="choose from auto, differential, packed"
+        ):
+            GradeOptions(engine=name)
+        with pytest.raises(FaultSimError, match=f"unknown engine '{name}'"):
+            get_engine(name)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(FaultSimError, match="unknown engine"):
@@ -232,8 +243,8 @@ class TestFacade:
         assert default_engine_name(build_component("RegF")) == "differential"
         assert depth(build_component("BMUX")) < AUTO_MIN_DEPTH
 
-    def test_auto_picks_compiled_for_deep_combinational(self):
-        assert default_engine_name(build_component("ALU")) == "compiled"
+    def test_auto_picks_packed_for_deep_combinational(self):
+        assert default_engine_name(build_component("ALU")) == "packed"
         assert depth(build_component("ALU")) >= AUTO_MIN_DEPTH
 
     def test_runtime_engine_honoured_only_under_auto(self):
@@ -255,30 +266,16 @@ class TestFacade:
         with pytest.raises(FaultSimError, match="no cycles to apply"):
             grade(build_register_file(n_registers=4, width=4), [])
 
-    def test_facade_matches_legacy_harness(self):
+    def test_facade_matches_direct_engine(self):
         netlist = adder4()
         patterns = [dict(a=a, x=15 - a, cin=a & 1) for a in range(16)]
-        via_facade = grade(netlist, patterns,
-                           options=GradeOptions(engine="differential"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_combinational(netlist, patterns)
-        assert via_facade.detected == legacy.detected
-        assert via_facade.fault_coverage == legacy.fault_coverage
-
-
-class TestDeprecatedEntryPoints:
-    def test_run_combinational_warns(self):
-        with pytest.warns(DeprecationWarning, match="grade"):
-            run_combinational(adder4(), [dict(a=0, x=0, cin=0)])
-
-    def test_run_sequential_warns(self):
-        netlist = build_register_file(n_registers=4, width=4)
-        with pytest.warns(DeprecationWarning, match="grade"):
-            run_sequential(netlist, regfile_cycles(n=5))
-
-    def test_parallel_run_campaign_warns(self):
-        netlist = build_register_file(n_registers=4, width=4)
-        sim = ParallelFaultSimulator(netlist, batch_size=16)
-        with pytest.warns(DeprecationWarning, match="grade"):
-            sim.run_campaign(regfile_cycles(n=5))
+        fault_list = build_fault_list(netlist)
+        via_facade = grade(netlist, patterns, fault_list,
+                           GradeOptions(engine="differential"))
+        plan = ObservePlan.from_spec(None, len(patterns), netlist)
+        direct = get_engine("differential").grade(
+            netlist, patterns, fault_list, plan
+        )
+        assert via_facade.detected == direct.detected
+        assert via_facade.fault_coverage == direct.fault_coverage
+        assert via_facade.detections == direct.detections

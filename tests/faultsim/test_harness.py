@@ -1,14 +1,10 @@
-"""Unit tests for the component campaign harness."""
+"""Component grading through the facade: coverage, observability and
+the :class:`~repro.faultsim.harness.CampaignResult` accounting."""
 
 import pytest
 
 from repro.errors import FaultSimError
-from repro.faultsim.harness import (
-    CombinationalCampaign,
-    SequentialCampaign,
-    run_combinational,
-    run_sequential,
-)
+from repro.faultsim import GradeOptions, grade
 from repro.netlist.builder import NetlistBuilder
 
 
@@ -32,12 +28,12 @@ def exhaustive_patterns():
 
 class TestCombinational:
     def test_exhaustive_reaches_full_coverage(self):
-        result = run_combinational(adder4(), exhaustive_patterns())
+        result = grade(adder4(), exhaustive_patterns())
         assert result.fault_coverage == 100.0
         assert result.undetected_faults() == []
 
     def test_single_pattern_partial_coverage(self):
-        result = run_combinational(adder4(), [dict(a=0, x=0, cin=0)])
+        result = grade(adder4(), [dict(a=0, x=0, cin=0)])
         assert 0 < result.fault_coverage < 100.0
 
     def test_constant_tied_logic_reported_untestable(self):
@@ -52,7 +48,7 @@ class TestCombinational:
         dead = b.netlist.add_gate(GateType.AND, [a[0], CONST0])
         b.output("y", b.gate(GateType.OR, a[0], dead))
         patterns = [dict(a=v) for v in (0, 1)]
-        result = run_combinational(b.build(), patterns)
+        result = grade(b.build(), patterns)
         assert result.fault_coverage < 100.0
         undetected = result.undetected_faults()
         nl = result.fault_list.netlist
@@ -60,32 +56,45 @@ class TestCombinational:
 
     def test_unobserved_patterns_detect_nothing(self):
         observe = [() for _ in exhaustive_patterns()]
-        result = run_combinational(adder4(), exhaustive_patterns(), observe)
+        result = grade(adder4(), exhaustive_patterns(),
+                       options=GradeOptions(observe=observe))
         assert result.n_detected == 0
 
     def test_partial_observation(self):
         # Observing only cout: sum-only faults survive.
         observe = [("cout",) for _ in exhaustive_patterns()]
-        result = run_combinational(adder4(), exhaustive_patterns(), observe)
+        result = grade(adder4(), exhaustive_patterns(),
+                       options=GradeOptions(observe=observe))
         assert 0 < result.fault_coverage < 100.0
 
     def test_empty_patterns_rejected(self):
         with pytest.raises(FaultSimError):
-            run_combinational(adder4(), [])
+            grade(adder4(), [])
 
     def test_observe_length_mismatch(self):
         with pytest.raises(FaultSimError):
-            CombinationalCampaign(adder4(), [dict(a=0, x=0)], [(), ()]).run()
+            grade(adder4(), [dict(a=0, x=0)],
+                  options=GradeOptions(observe=[(), ()]))
 
-    def test_sequential_netlist_rejected(self):
+    def test_sequential_netlist_graded_as_cycle_sequence(self):
+        # The facade dispatches on the netlist: with flip-flops, the
+        # stimulus is an in-order cycle sequence, never a pattern set.
         b = NetlistBuilder("seq")
         x = b.input("x", 1)
         b.output("q", b.dff(x[0]))
-        with pytest.raises(FaultSimError):
-            run_combinational(b.build(), [dict(x=0)])
+        netlist = b.build()
+        with pytest.raises(FaultSimError, match="no cycles to apply"):
+            grade(netlist, [])
+        # q resets to 0, so its s-a-1 shows at cycle 0; x=1 is latched at
+        # cycle 0, so x-path s-a-0 faults only show on q at cycle 1.
+        result = grade(netlist, [dict(x=1), dict(x=0)])
+        assert result.n_patterns == 2
+        assert {d.cycle for d in result.detections.values()
+                if d.detected} == {0, 1}
 
     def test_result_accounting(self):
-        result = run_combinational(adder4(), exhaustive_patterns(), name="A4")
+        result = grade(adder4(), exhaustive_patterns(),
+                       options=GradeOptions(name="A4"))
         assert result.name == "A4"
         assert result.n_patterns == 512
         assert result.n_faults == result.fault_list.n_collapsed
@@ -117,25 +126,26 @@ class TestSequential:
         for reg in range(1, 4):
             cycles.append(dict(wr_addr=0, wr_data=0, wr_en=0,
                                rd_addr_a=reg, rd_addr_b=3 - reg))
-        result = run_sequential(self._regfile(), cycles)
+        result = grade(self._regfile(), cycles)
         assert result.fault_coverage > 85.0
 
     def test_no_observation_no_detection(self):
         cycles = [dict(wr_addr=1, wr_data=0xF, wr_en=1,
                        rd_addr_a=1, rd_addr_b=1)] * 4
         observe = [() for _ in cycles]
-        result = run_sequential(self._regfile(), cycles, observe)
+        result = grade(self._regfile(), cycles,
+                       options=GradeOptions(observe=observe))
         assert result.n_detected == 0
 
     def test_empty_cycles_rejected(self):
         with pytest.raises(FaultSimError):
-            run_sequential(self._regfile(), [])
+            grade(self._regfile(), [])
 
     def test_observe_length_mismatch(self):
         with pytest.raises(FaultSimError):
-            SequentialCampaign(
+            grade(
                 self._regfile(),
                 [dict(wr_addr=0, wr_data=0, wr_en=0,
                       rd_addr_a=0, rd_addr_b=0)],
-                [(), ()],
-            ).run()
+                options=GradeOptions(observe=[(), ()]),
+            )

@@ -20,13 +20,15 @@ class TestConstruction:
         plan = ObservePlan.from_spec(None, 3)
         assert plan.observes_everything
         assert plan.n_entries == 3
-        assert plan.port_name_lists() is None
+        assert plan.entries is None
         assert plan.packed_net_masks(two_output_netlist()) is None
 
     def test_port_name_entries(self):
         plan = ObservePlan.from_spec([("y",), ("y", "z"), ()], 3)
         assert not plan.observes_everything
-        assert plan.port_name_lists() == [("y",), ("y", "z"), ()]
+        assert plan.entries == (
+            (("y", None),), (("y", None), ("z", None)), (),
+        )
 
     def test_mapping_entries_keep_lane_masks(self):
         plan = ObservePlan.from_spec([{"y": 0b101}], 1)
@@ -59,9 +61,11 @@ class TestConstruction:
 
 
 class TestEngineRepresentations:
-    def test_zero_mask_ports_dropped_from_name_lists(self):
-        plan = ObservePlan.from_spec([{"y": 0, "z": 1}], 1)
-        assert plan.port_name_lists() == [("z",)]
+    def test_zero_mask_ports_dropped_from_net_masks(self):
+        netlist = two_output_netlist()
+        plan = ObservePlan.from_spec([{"y": 0, "z": 1}], 1, netlist)
+        (masks,) = plan.net_masks(netlist, full_mask=1)
+        assert masks == {netlist.port("z").nets[0]: 1}
 
     def test_net_masks_clip_to_full_mask(self):
         netlist = two_output_netlist()

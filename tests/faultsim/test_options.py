@@ -1,10 +1,8 @@
-"""GradeOptions: validation, folding, fingerprints and deprecation.
+"""GradeOptions: validation, folding and fingerprints.
 
 The API-consolidation contract: every grading entry point builds exactly
-one validated :class:`~repro.faultsim.options.GradeOptions`, the legacy
-per-keyword surface on :func:`~repro.faultsim.grade` still works for one
-release but warns, and mixing the two conventions is an error rather
-than a silent precedence rule.
+one validated :class:`~repro.faultsim.options.GradeOptions`, and
+:func:`~repro.faultsim.grade` takes nothing else.
 """
 
 import pytest
@@ -64,7 +62,7 @@ class TestValidation:
         assert opts.store is opts.cache
 
     def test_replace_revalidates(self):
-        opts = GradeOptions(engine="compiled")
+        opts = GradeOptions(engine="differential")
         assert opts.replace(engine="packed").engine == "packed"
         with pytest.raises(FaultSimError, match="unknown engine"):
             opts.replace(engine="flextest")
@@ -72,13 +70,13 @@ class TestValidation:
 
 class TestEffectiveEngine:
     def test_explicit_engine_wins_over_runtime(self):
-        runtime = RuntimeConfig(engine="batch")
-        opts = GradeOptions(engine="compiled", runtime=runtime)
-        assert opts.effective_engine() == "compiled"
+        runtime = RuntimeConfig(engine="differential")
+        opts = GradeOptions(engine="packed", runtime=runtime)
+        assert opts.effective_engine() == "packed"
 
     def test_runtime_engine_fills_auto(self):
-        runtime = RuntimeConfig(engine="batch")
-        assert GradeOptions(runtime=runtime).effective_engine() == "batch"
+        runtime = RuntimeConfig(engine="packed")
+        assert GradeOptions(runtime=runtime).effective_engine() == "packed"
 
     def test_auto_stays_auto_without_runtime(self):
         assert GradeOptions().effective_engine() == "auto"
@@ -104,11 +102,6 @@ class TestFingerprint:
 
 
 class TestGradeConventions:
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="GradeOptions"):
-            result = grade(tiny_netlist(), PATTERNS, engine="differential")
-        assert result.n_faults > 0
-
     def test_options_object_does_not_warn(self, recwarn):
         result = grade(
             tiny_netlist(), PATTERNS,
@@ -118,19 +111,3 @@ class TestGradeConventions:
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
-
-    def test_mixing_conventions_raises(self):
-        with pytest.raises(FaultSimError, match="not both"):
-            grade(
-                tiny_netlist(), PATTERNS,
-                options=GradeOptions(), engine="differential",
-            )
-
-    def test_legacy_and_options_grades_agree(self):
-        netlist = tiny_netlist()
-        with pytest.warns(DeprecationWarning):
-            legacy = grade(netlist, PATTERNS, engine="batch")
-        modern = grade(netlist, PATTERNS,
-                       options=GradeOptions(engine="batch"))
-        assert legacy.detected == modern.detected
-        assert legacy.fault_coverage == modern.fault_coverage

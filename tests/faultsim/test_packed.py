@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import FaultSimError
 from repro.faultsim import GradeOptions, build_fault_list, grade
-from repro.faultsim.engine import get_engine
+from repro.faultsim.engine import resolve_engine
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.packed import (
     PACKED_CHUNK_SCHEDULE,
@@ -24,6 +24,7 @@ from repro.faultsim.packed import (
 )
 from repro.library import build_alu, build_register_file
 from repro.netlist.builder import NetlistBuilder
+from repro.plasma.components import build_component
 
 
 def _adder4():
@@ -133,10 +134,15 @@ class TestLaneWidths:
                 assert g.cycle == d.cycle
 
     def test_options_lanes_reaches_the_engine(self):
-        engine = get_engine("packed")
-        engine.configure(GradeOptions(lanes=32))
+        engine = resolve_engine(
+            build_alu(width=4), GradeOptions(engine="packed", lanes=32)
+        )
+        assert isinstance(engine, PackedEngine)
         assert engine.lanes == 32
-        engine.configure(GradeOptions())  # restore the default
+        # "auto" hands the lane count on wherever it picks packed.
+        engine = resolve_engine(build_component("ALU"), GradeOptions(lanes=8))
+        assert isinstance(engine, PackedEngine)
+        assert engine.lanes == 8
 
     def test_too_few_lanes_rejected(self):
         with pytest.raises(FaultSimError, match="lane groups"):

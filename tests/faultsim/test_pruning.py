@@ -1,11 +1,11 @@
-"""SCOAP-based structural fault pruning inside the campaign harness.
+"""SCOAP-based structural fault pruning inside the grading facade.
 
 ``prune_untestable=True`` must only skip faults that are provably
 untestable: the reported fault coverage may never change, only the
 amount of simulation spent proving the same undetected set.
 """
 
-from repro.faultsim.harness import CombinationalCampaign
+from repro.faultsim import GradeOptions, grade
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import CONST0
@@ -28,9 +28,9 @@ PATTERNS = [dict(a=0), dict(a=1)]
 class TestPruningSmallCircuit:
     def test_prune_skips_untestable_without_changing_coverage(self):
         netlist = tied_circuit()
-        base = CombinationalCampaign(netlist, PATTERNS).run()
-        pruned = CombinationalCampaign(netlist, PATTERNS).run(
-            prune_untestable=True
+        base = grade(netlist, PATTERNS)
+        pruned = grade(
+            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
         )
         assert base.n_pruned == 0
         assert pruned.n_pruned > 0
@@ -40,8 +40,8 @@ class TestPruningSmallCircuit:
 
     def test_pruned_faults_stay_in_the_undetected_set(self):
         netlist = tied_circuit()
-        result = CombinationalCampaign(netlist, PATTERNS).run(
-            prune_untestable=True
+        result = grade(
+            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
         )
         assert result.pruned
         assert not result.pruned & result.detected
@@ -55,8 +55,8 @@ class TestPruningSmallCircuit:
 
     def test_excitation_report_mentions_pruning(self):
         netlist = tied_circuit()
-        result = CombinationalCampaign(netlist, PATTERNS).run(
-            prune_untestable=True
+        result = grade(
+            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
         )
         assert "pruned-untestable" in result.excitation_report()
 
@@ -71,9 +71,9 @@ class TestPruningOnComponent:
             {"instr": 0x8C080000},  # lw $t0, 0($0)
             {"instr": 0x01095021},  # addu $t2, $t0, $t1
         ]
-        base = CombinationalCampaign(netlist, patterns).run()
-        pruned = CombinationalCampaign(netlist, patterns).run(
-            prune_untestable=True
+        base = grade(netlist, patterns)
+        pruned = grade(
+            netlist, patterns, options=GradeOptions(prune_untestable=True)
         )
         assert pruned.n_pruned > 0
         assert pruned.fault_coverage == base.fault_coverage

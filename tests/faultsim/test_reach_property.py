@@ -34,7 +34,7 @@ from tests.faultsim.test_collapse_property import (
     random_seq,
 )
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 MASK32 = 0xFFFF_FFFF
 

@@ -29,7 +29,7 @@ from repro.plasma.components import COMPONENTS, build_component
 #: Components whose SCOAP screen finds candidates (with current netlists).
 SCREENED = ("RegF", "MulD", "PCL", "CTRL")
 
-ENGINES = ("differential", "batch", "compiled", "packed")
+ENGINES = ("differential", "packed")
 
 
 class TestSoundnessGate:

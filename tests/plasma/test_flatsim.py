@@ -48,7 +48,7 @@ class TestRecording:
 class TestSampledCampaign:
     def test_sample_detects_faults(self, top):
         result = flat_campaign(
-            assemble(SMALL), netlist=top, sample=80, batch_size=40, seed=3
+            assemble(SMALL), netlist=top, sample=80, seed=3
         )
         assert result.n_sampled == 80
         assert 0 < result.n_detected < 80

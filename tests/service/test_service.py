@@ -256,6 +256,16 @@ class TestFailurePaths:
             fields = {issue["field"] for issue in payload["issues"]}
             assert fields == {"phases", "componets", "jobs"}
 
+    def test_removed_engine_is_400(self):
+        with running_server(workers=0) as port:
+            status, _, payload = request(
+                port, "POST", "/v1/campaigns", {"engine": "compiled"},
+            )
+            assert status == 400
+            (issue,) = payload["issues"]
+            assert "unknown engine 'compiled'" in issue["message"]
+            assert "auto, differential, packed" in issue["message"]
+
     def test_unknown_campaign_is_404(self):
         with running_server(workers=0) as port:
             for path in ("/v1/campaigns/nope", "/v1/campaigns/nope/events"):

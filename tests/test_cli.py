@@ -364,7 +364,7 @@ class TestAnalyzeFormal:
 class TestEngineSelection:
     def test_campaign_engine_flag(self, capsys):
         assert main(["campaign", "--phases", "A", "--components",
-                     "CTRL,BMUX", "--engine", "compiled"]) == 0
+                     "CTRL,BMUX", "--engine", "packed"]) == 0
         out = capsys.readouterr().out
         assert "CTRL" in out and "BMUX" in out
 
@@ -380,16 +380,25 @@ class TestEngineSelection:
                      "--engine", "differential"]) == 0
         differential = capsys.readouterr().out
         assert main(["campaign", "--phases", "A", "--components", "CTRL",
-                     "--engine", "compiled"]) == 0
-        compiled = capsys.readouterr().out
+                     "--engine", "packed"]) == 0
+        packed = capsys.readouterr().out
         # Table 5 must be bit-identical whichever engine graded it.
-        assert normalized(differential) == normalized(compiled)
+        assert normalized(differential) == normalized(packed)
 
     def test_unknown_engine_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["campaign", "--phases", "A", "--components", "CTRL",
                   "--engine", "flextest"])
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["batch", "compiled"])
+    def test_removed_engines_rejected_by_parser(self, removed, capsys):
+        with pytest.raises(SystemExit):
+            main(["campaign", "--phases", "A", "--components", "CTRL",
+                  "--engine", removed])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "'auto', 'differential', 'packed'" in err
 
     def test_selftest_coverage_report(self, capsys):
         assert main(["selftest", "--phases", "A", "--coverage",
