@@ -1,41 +1,28 @@
-"""Gate G2 — program-aware reach screen: soundness payoff, zero drift.
+"""Gate G2 — program-aware reach analysis: yield and soundness.
 
-The reach screen (``GradeOptions(reach=...)``) lets a campaign skip
-simulating fault classes the abstract interpreter proves the program
-never exercises, synthesising their (undetected, unexcited) verdicts.
-The load-bearing claim is that this is *invisible* in the results: every
-table, verdict and coverage figure must be bit-identical to simulating
-everything.  This bench grades the gate components both ways on the
-campaign-default configuration (structural collapsing on) with the same
-phase-A traced stimulus and enforces:
+The reach analysis (:mod:`repro.analysis.reach`, ``repro analyze
+reach``) proves fault classes a self-test program never exercises.
+Grading does not consult it; this bench checks that the proofs are
+worth reading and never contradicted.  It builds each gate component's
+report from the phase-A program, grades the same traced stimulus on
+the campaign-default configuration (structural collapsing on, ``auto``
+engine) and enforces two hard gates:
 
-* **verdict equality (hard gate)** — any per-class ``(detected,
-  excited)`` difference, detected-set difference or coverage difference
-  between the screened and the plain run fails the bench;
-* **skip accounting (hard gate)** — the screened run must simulate
-  exactly ``plain - reach_reduction`` classes and report that count as
-  ``n_reach_skipped``; a mismatch means skipped work was silently lost
-  or double-counted;
-* **screen yield (hard gate)** — across the benched components, at
-  least :data:`MIN_YIELD_COMPONENTS` must have >=
-  :data:`MIN_YIELD_RATIO` of their *post-collapse* fault universe proven
-  unexercised by the phase-A program.  The screen earning its keep on
-  real components is part of the reproduction claim, not a nice-to-have;
-* **steady-state speedup (soft gate)** — cache-warm screened grading
-  should be >= :data:`SPEEDUP_FLOOR` x the plain run on components
-  where the screen actually fires.  Components the program fully
-  exercises (nothing to skip) are reported as SKIP, not failed.
-
-Timing reports both the *warm* speedup (steady-state campaign, screen
-already built) and the *cold* speedup (single run, per-component screen
-construction charged against the win) so the artifact records whether
-the screen pays for itself on a one-shot grade.
+* **yield** — across the benched components, at least
+  :data:`MIN_YIELD_COMPONENTS` must have >= :data:`MIN_YIELD_RATIO` of
+  their *post-collapse* fault universe proven unexercised (a collapsed
+  super-class counts when every member is proven).  The analysis
+  earning its keep on real components is part of the reproduction
+  claim, not a nice-to-have;
+* **soundness** — every proven class must be graded undetected *and*
+  unexcited.  A proven class the grade excites means the abstract
+  interpretation missed a stimulus the program really applies.
 
 Runs two ways:
 
 * ``PYTHONPATH=src python benchmarks/bench_reach.py [--quick]`` —
-  standalone; exit 1 only on a hard-gate failure.  ``--quick`` (the CI
-  gate) restricts to the fast components and one timing repetition.
+  standalone; exit 1 on a gate failure.  ``--quick`` (the CI gate)
+  restricts to the fast components.
 * via the tier-2 pytest-benchmark suite (full mode).
 
 A JSON artifact with the per-component measurements lands in
@@ -49,18 +36,11 @@ import time
 
 from repro.analysis.absint import interpret_program
 from repro.analysis.collapse import compute_collapse
-from repro.analysis.reach import (
-    build_reach_report,
-    derive_patterns,
-    reach_reduction,
-)
+from repro.analysis.reach import build_reach_report, derive_patterns
 from repro.core.campaign import execute_self_test
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.plasma.components import build_component
-
-#: Soft-gate floor: steady-state (cache-warm) speedup from screening.
-SPEEDUP_FLOOR = 1.05
 
 #: Hard gate: this many components must clear :data:`MIN_YIELD_RATIO`.
 MIN_YIELD_COMPONENTS = 2
@@ -68,12 +48,12 @@ MIN_YIELD_COMPONENTS = 2
 #: Hard gate: fraction of the post-collapse universe proven unexercised.
 MIN_YIELD_RATIO = 0.05
 
-#: Quick mode: fast components where the screen demonstrably fires.
+#: Quick mode: fast components where the analysis demonstrably proves.
 QUICK_COMPONENTS = ("CTRL", "GL", "PCL")
 
 #: Full mode adds the remaining fast-enough components (RegF and MulD
 #: grade for minutes and the phase-A program exercises both end to end —
-#: reported by ``repro analyze reach``, not re-measured here).
+#: reported by ``repro analyze reach``, not re-graded here).
 FULL_COMPONENTS = (
     "ALU", "BSH", "CTRL", "BMUX", "GL", "PCL", "PLN", "MCTRL"
 )
@@ -85,133 +65,68 @@ def traced_program_and_specs():
     return self_test.program, tracer.finalize()
 
 
-def _verdicts(result):
-    return {
-        rep: (det.detected, det.excited)
-        for rep, det in result.detections.items()
-    }
-
-
-def _timed(repeats, fn):
-    """Best-of-N wall time (seconds) and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
-def _bench_component(name, patterns, stimulus, observe, repeats, lines,
-                     failures, records):
+def _bench_component(name, patterns, stimulus, observe, lines, failures,
+                     records):
     netlist = build_component(name)
     fault_list = build_fault_list(netlist)
     cmap = compute_collapse(netlist, fault_list)
 
-    # Per-component screen construction is the cold-start cost the
-    # screened run pays once; charge it against the cold speedup.
-    screen_started = time.perf_counter()
+    started = time.perf_counter()
     report = build_reach_report(
         netlist, fault_list, patterns[name], component=name
     )
-    screen_seconds = time.perf_counter() - screen_started
-    # ``dropped`` holds super-representatives; the engine reports
-    # ``n_reach_skipped`` at member-class granularity (every class whose
-    # verdict it synthesises) while ``n_simulated`` shrinks by supers.
-    dropped = reach_reduction(report, fault_list, cmap, frozenset())
-    screened_classes = sum(len(cmap.members(s)) for s in dropped)
+    report_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    result = grade(netlist, stimulus, fault_list,
+                   GradeOptions(observe=observe, name=name, collapse=cmap))
+    grade_seconds = time.perf_counter() - started
 
-    def plain():
-        return grade(netlist, stimulus, fault_list,
-                     GradeOptions(observe=observe, name=name, collapse=cmap))
+    supers = cmap.simulation_order()
+    proven_supers = sum(
+        1 for s in supers
+        if all(m in report.proven for m in cmap.members(s))
+    )
+    yield_ratio = proven_supers / len(supers) if supers else 0.0
 
-    def screened():
-        return grade(
-            netlist, stimulus, fault_list,
-            GradeOptions(observe=observe, name=name, collapse=cmap,
-                         reach=report),
-        )
-
-    # Warm every cache (good trace, compiled program) outside the timing:
-    # the warm gate measures steady-state campaign behaviour.
-    plain()
-    screened()
-    base_seconds, base = _timed(repeats, plain)
-    reach_seconds, on = _timed(repeats, screened)
-
-    warm_speedup = base_seconds / reach_seconds if reach_seconds else 0.0
-    cold = reach_seconds + screen_seconds
-    cold_speedup = base_seconds / cold if cold else 0.0
-    n_supers = len(cmap.simulation_order())
-    yield_ratio = len(dropped) / n_supers if n_supers else 0.0
-
-    # --- hard gates ------------------------------------------------------
-    if _verdicts(on) != _verdicts(base) or on.detected != base.detected:
+    unsound = sorted(
+        rep for rep in report.proven
+        if rep in result.detected or result.detections[rep].excited
+    )
+    if unsound:
         failures.append(
-            f"{name}: screened verdicts differ from the plain run"
+            f"{name}: {len(unsound)} proven-unexercised class(es) are "
+            f"excited or detected by the grade (first: {unsound[0]})"
         )
-    if on.fault_coverage != base.fault_coverage:
-        failures.append(f"{name}: FC differs with the reach screen on")
-    if on.n_reach_skipped != screened_classes:
-        failures.append(
-            f"{name}: n_reach_skipped={on.n_reach_skipped} but the "
-            f"reduction screens {screened_classes} classes"
-        )
-    if on.n_simulated != base.n_simulated - len(dropped):
-        failures.append(
-            f"{name}: simulated {on.n_simulated} classes, expected "
-            f"{base.n_simulated} - {len(dropped)}"
-        )
-
-    # --- soft gate -------------------------------------------------------
-    if not dropped:
-        status = "SKIP"
-    elif warm_speedup >= SPEEDUP_FLOOR:
-        status = "PASS"
-    else:
-        status = "SKIP"
     records.append({
         "component": name,
         "n_classes": fault_list.n_collapsed,
-        "n_supers": n_supers,
+        "n_supers": len(supers),
         "n_proven": report.n_proven,
-        "n_reach_skipped": on.n_reach_skipped,
+        "n_proven_supers": proven_supers,
         "post_collapse_yield": round(yield_ratio, 4),
-        "n_simulated_plain": base.n_simulated,
-        "n_simulated_screened": on.n_simulated,
-        "base_seconds": round(base_seconds, 4),
-        "screened_seconds": round(reach_seconds, 4),
-        "screen_build_seconds": round(screen_seconds, 4),
-        "warm_speedup": round(warm_speedup, 4),
-        "cold_speedup": round(cold_speedup, 4),
+        "n_unsound": len(unsound),
+        "report_seconds": round(report_seconds, 4),
+        "grade_seconds": round(grade_seconds, 4),
         "degraded": report.degraded,
-        "status": status,
         "reach_hash": report.reach_hash,
     })
     lines.append(
-        f"{name:6s} {fault_list.n_collapsed:7,} classes -> "
-        f"{on.n_simulated:7,} simulated ({on.n_reach_skipped:,} screened, "
-        f"{100 * yield_ratio:4.1f}% of supers)  "
-        f"{base_seconds:6.2f}s -> {reach_seconds:6.2f}s "
-        f"(warm {warm_speedup:.2f}x, cold {cold_speedup:.2f}x)  {status}"
-        + (
-            "" if status == "PASS" else
-            " (nothing to screen)" if not dropped else
-            f" (below the {SPEEDUP_FLOOR:.2f}x floor)"
-        )
+        f"{name:6s} {fault_list.n_collapsed:7,} classes, "
+        f"{report.n_proven:5,} proven ({proven_supers:,} of "
+        f"{len(supers):,} supers, {100 * yield_ratio:4.1f}%)  "
+        f"report {report_seconds:5.2f}s  "
+        f"{'SOUND' if not unsound else 'UNSOUND'}"
     )
     return yield_ratio
 
 
 def run_bench(quick: bool) -> tuple[str, list[str], list[dict]]:
-    """Grade the gate components screened and plain, compare, time.
+    """Analyze and grade the gate components, check yield and soundness.
 
     Returns:
-        ``(report text, hard failures, per-component records)``.
+        ``(report text, gate failures, per-component records)``.
     """
     components = QUICK_COMPONENTS if quick else FULL_COMPONENTS
-    repeats = 2 if quick else 3
     program, specs = traced_program_and_specs()
     patterns = derive_patterns(interpret_program(program))
     lines: list[str] = []
@@ -221,23 +136,20 @@ def run_bench(quick: bool) -> tuple[str, list[str], list[dict]]:
     for name in components:
         stimulus, observe = specs[name]
         ratio = _bench_component(
-            name, patterns, stimulus, observe, repeats, lines, failures,
-            records,
+            name, patterns, stimulus, observe, lines, failures, records,
         )
         if ratio >= MIN_YIELD_RATIO:
             yielding += 1
     if yielding < MIN_YIELD_COMPONENTS:
         failures.append(
-            f"screen yield: only {yielding} component(s) have >= "
+            f"yield: only {yielding} component(s) have >= "
             f"{100 * MIN_YIELD_RATIO:.0f}% of their post-collapse universe "
             f"proven unexercised (need {MIN_YIELD_COMPONENTS})"
         )
-    passed = sum(1 for r in records if r["status"] == "PASS")
     lines.append(
-        f"{passed}/{len(records)} component(s) beat the "
-        f"{SPEEDUP_FLOOR:.2f}x steady-state floor; "
-        f"{yielding} clear the {100 * MIN_YIELD_RATIO:.0f}% yield bar; "
-        f"{len(failures)} hard failure(s)"
+        f"{yielding}/{len(records)} component(s) clear the "
+        f"{100 * MIN_YIELD_RATIO:.0f}% yield bar; "
+        f"{len(failures)} gate failure(s)"
     )
     return "\n".join(lines), failures, records
 
@@ -253,7 +165,6 @@ def _write_artifact(quick, records, failures) -> str:
             {
                 "bench": "reach_gate",
                 "quick": quick,
-                "speedup_floor": SPEEDUP_FLOOR,
                 "min_yield_components": MIN_YIELD_COMPONENTS,
                 "min_yield_ratio": MIN_YIELD_RATIO,
                 "components": records,
@@ -270,7 +181,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI mode: fast components only, single timing repetition",
+        help="CI mode: fast components only",
     )
     args = parser.parse_args(argv)
     text, failures, records = run_bench(quick=args.quick)

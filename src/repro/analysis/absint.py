@@ -6,7 +6,7 @@ cfg`) propagates one :class:`AbsState` — 34 abstract registers
 plus an abstract memory map — through every reachable basic block.  The
 per-instruction transfer function mirrors the behavioural CPU
 (:mod:`repro.plasma.cpu`) *exactly* on every value the component tracer
-records, because the reach screen (:mod:`repro.analysis.reach`) derives
+records, because the reach analysis (:mod:`repro.analysis.reach`) derives
 its abstract stimulus patterns from these facts and its soundness
 argument is "every traced concrete stimulus entry is covered by some
 derived abstract pattern" (DESIGN.md §15).
@@ -22,7 +22,7 @@ Soundness policies for the hard cases:
 * **split branch/delay-slot pairs** (a leader lands on a delay slot):
   the target edge carries the block's out-state with the slot
   instruction's effects havocked.
-* **stores**: the screen's soundness target is the *traced good-machine
+* **stores**: the analysis's soundness target is the *traced good-machine
   run* (fault grading replays the trace of the one concrete execution of
   the program — there is no faulty-machine program run).  That run is
   deterministic and cheap, so :func:`observe_stores` executes it once
@@ -780,26 +780,52 @@ class _Interpreter:
         return facts, self.indirect, len(in_states)
 
 
-class _RecordingMemory:
-    """Memory wrapper that records the word address of every store."""
+class _CodeStore(Exception):
+    """Raised by :class:`_RecordingMemory` on a store into program code."""
 
-    def __init__(self, inner: object) -> None:
+
+def _code_words(program: Program) -> frozenset[int]:
+    """Word addresses of every code-segment word of ``program``."""
+    return frozenset(
+        seg.base + 4 * i
+        for seg in program.segments
+        if seg.is_code
+        for i in range(len(seg.words))
+    )
+
+
+class _RecordingMemory:
+    """Memory wrapper that records the word address of every store.
+
+    A store into one of ``code_words`` is recorded and then stops the
+    run (:class:`_CodeStore`): the static instruction image is already
+    invalid, so executing further only burns the instruction budget.
+    """
+
+    def __init__(self, inner: object, code_words: frozenset[int]) -> None:
         self._inner = inner
+        self._code_words = code_words
         self.stored_words: set[int] = set()
 
     def __getattr__(self, name: str) -> object:
         return getattr(self._inner, name)
 
+    def _record(self, addr: int) -> None:
+        word = addr & ~3
+        self.stored_words.add(word)
+        if word in self._code_words:
+            raise _CodeStore
+
     def write_word(self, addr: int, value: int) -> None:
-        self.stored_words.add(addr & ~3)
+        self._record(addr)
         self._inner.write_word(addr, value)  # type: ignore[attr-defined]
 
     def write_half(self, addr: int, value: int) -> None:
-        self.stored_words.add(addr & ~3)
+        self._record(addr)
         self._inner.write_half(addr, value)  # type: ignore[attr-defined]
 
     def write_byte(self, addr: int, value: int) -> None:
-        self.stored_words.add(addr & ~3)
+        self._record(addr)
         self._inner.write_byte(addr, value)  # type: ignore[attr-defined]
 
 
@@ -808,23 +834,26 @@ def observe_stores(
 ) -> frozenset[int] | None:
     """Run the program behaviourally once; return its stored word set.
 
-    The reach screen's soundness target is the traced good-machine run,
+    The reach analysis's soundness target is the traced good-machine run,
     which is deterministic — one cheap instruction-level execution
     yields the *exact* set of word addresses the program ever stores to.
-    Returns None when the run fails (no halt within the budget, or a
-    simulation error), in which case the interpreter falls back to its
-    conservative static store policy.
+    The run stops at the first store into a code-segment word; the set
+    returned then includes that word.  Returns None when the run fails
+    (no halt within the budget, or a simulation error), in which case
+    the interpreter falls back to its conservative static store policy.
     """
     from repro.errors import SimulationError
     from repro.plasma.cpu import PlasmaCPU
     from repro.plasma.memory import Memory
 
     memory = Memory()
-    recorder = _RecordingMemory(memory)
+    recorder = _RecordingMemory(memory, _code_words(program))
     cpu = PlasmaCPU(memory=recorder)  # type: ignore[arg-type]
     cpu.load_program(program)
     try:
         cpu.run(max_instructions=max_instructions)
+    except _CodeStore:
+        pass
     except SimulationError:
         return None
     return frozenset(recorder.stored_words)
@@ -841,13 +870,7 @@ def interpret_program(
     """
     written = observe_stores(program, max_instructions)
     if written is not None:
-        code_words = {
-            seg.base + 4 * i
-            for seg in program.segments
-            if seg.is_code
-            for i in range(len(seg.words))
-        }
-        hits = written & code_words
+        hits = written & _code_words(program)
         if hits:
             return ProgramAbstraction(
                 digest=program_digest(program),

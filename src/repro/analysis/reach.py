@@ -1,4 +1,4 @@
-"""Program-aware static detectability: the unexercised-fault screen.
+"""Program-aware static detectability: the unexercised-fault analysis.
 
 Given one assembled SBST program and one component netlist, this module
 decides — *before any fault simulation* — which stuck-at fault classes
@@ -23,8 +23,9 @@ the program can possibly excite.  The pipeline:
      opposite value (advisory: derived patterns may over-approximate);
    * ``unknown`` — neither proof succeeded.
 
-**Soundness argument** (DESIGN.md §15): fault grading replays the trace
-of the one concrete good-machine run.  A faulty machine first diverges
+**Soundness argument** (DESIGN.md §15) — why an ``unexercised-proven``
+claim can be trusted: fault grading replays the trace of the one
+concrete good-machine run.  A faulty machine first diverges
 from the good machine at a cycle where the fault site's good value
 differs from the stuck value — before that cycle the two machines carry
 identical state, so the fault site reads the good value.  The abstract
@@ -32,10 +33,11 @@ state fixpoint starts at the reset state and is closed under every
 derived pattern, hence it covers every state the good machine reaches;
 if the net is proven equal to the stuck value under all of them, the
 faulty machine *never* diverges: every engine grades the fault exactly
-``Detection(False, excited=False)``.  That is why
-:func:`reach_reduction`-skipped classes can be synthesised bit-identical
-to simulated verdicts.  A ``degraded`` report (or any imprecision) only
-ever moves classes to ``unknown`` — the screen proves less, never wrong.
+``Detection(False, excited=False)``.  The report is an analysis only:
+grading always simulates every class, and the proven set tells a test
+author which faults the program cannot touch.  A ``degraded`` report
+(or any imprecision) only ever moves classes to ``unknown`` — the
+analysis proves less, never wrong.
 
 :func:`reach_spot_check` cross-validates sampled constant-net claims
 against the SAT layer: the good circuit is Tseitin-encoded once, the
@@ -51,7 +53,7 @@ sits above the analyzers in the layering.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from collections.abc import Mapping, Sequence
 
@@ -62,7 +64,6 @@ from repro.analysis.absint import (
 )
 from repro.analysis.absword import MASK32, AbstractWord, const
 from repro.analysis.diagnostics import Report
-from repro.errors import FaultSimError
 from repro.faultsim.faults import FaultList, fault_token
 from repro.isa.program import Program
 from repro.netlist.gates import GateType
@@ -452,7 +453,7 @@ class ReachReport:
 
     Attributes:
         component: component name the netlist belongs to.
-        structural_hash: the netlist's structural hash (identity check).
+        structural_hash: the netlist's structural hash (identity).
         program_digest: the analyzed program's content digest.
         n_patterns: derived abstract patterns after dedupe/cap.
         status: class-representative fault index -> status tag
@@ -496,22 +497,6 @@ class ReachReport:
     @property
     def n_unknown(self) -> int:
         return sum(1 for s in self.status.values() if s == UNKNOWN)
-
-    def validate_for(self, netlist: Netlist, fault_list: FaultList) -> None:
-        """Raise unless this report describes exactly this fault universe."""
-        shash = structural_hash(netlist)
-        if shash != self.structural_hash:
-            raise FaultSimError(
-                f"reach report for {self.component or 'component'} was built "
-                f"for another netlist (structural hash {self.structural_hash} "
-                f"!= {shash})"
-            )
-        reps = set(fault_list.class_representatives())
-        if set(self.status) != reps:
-            raise FaultSimError(
-                "reach report fault-class universe does not match the fault "
-                f"list ({len(self.status)} vs {len(reps)} classes)"
-            )
 
     def summary(self) -> str:
         if self.degraded:
@@ -696,45 +681,6 @@ def build_reach_report(
     )
 
 
-# ---------------------------------------------------- grading integration
-
-
-def reach_reduction(
-    report: ReachReport,
-    fault_list: FaultList,
-    cmap: object | None,
-    skip: frozenset[int] | set[int],
-) -> frozenset[int]:
-    """Simulation units the grader may skip with synthesised verdicts.
-
-    Uncollapsed grading (``cmap`` is None): a class representative may be
-    skipped when its own fault is proven unexercised (the expansion to
-    class members copies the representative's verdict verbatim).
-
-    Collapsed grading: a super-class may be skipped only when *every*
-    member outside the prune-skip set is proven — the collapsed verdict
-    expansion synthesises each member's ``excited`` flag from the good
-    trace, so only all-proven supers expand bit-identically.
-    """
-    if report.degraded or not report.proven:
-        return frozenset()
-    proven = report.proven
-    if cmap is None:
-        return frozenset(
-            rep for rep in fault_list.class_representatives()
-            if rep in proven and rep not in skip
-        )
-    dropped: set[int] = set()
-    for super_rep in cmap.simulation_order():  # type: ignore[attr-defined]
-        members = [
-            m for m in cmap.members(super_rep)  # type: ignore[attr-defined]
-            if m not in skip
-        ]
-        if members and all(m in proven for m in members):
-            dropped.add(super_rep)
-    return frozenset(dropped)
-
-
 # ------------------------------------------------------- SAT cross-check
 
 
@@ -809,7 +755,7 @@ def analyze_reach(
     sat_samples: int = 8,
     target: str = "program",
 ) -> tuple[Report, dict[str, ReachReport], dict[str, ReachCheck]]:
-    """Run the reach screen for one program over component netlists.
+    """Run the reach analysis for one program over component netlists.
 
     Emits RC302 errors for SAT-refuted constant claims, RC303 warnings
     for components where the screen decided almost nothing, then one
@@ -826,7 +772,7 @@ def analyze_reach(
     )
 
     report = Report(target=target, kind="reach")
-    reach_reports: dict[str, ReachReport] = {}
+    by_component: dict[str, ReachReport] = {}
     checks: dict[str, ReachCheck] = {}
     for name in names:
         netlist = build_component(name)
@@ -847,7 +793,7 @@ def analyze_reach(
                 program_digest=abstraction.digest,
             )
         check = reach_spot_check(netlist, reach, samples=sat_samples)
-        reach_reports[name] = reach
+        by_component[name] = reach
         checks[name] = check
 
         for message in check.refuted:
@@ -868,4 +814,4 @@ def analyze_reach(
             f"{reach.summary()}; SAT spot-check: "
             f"{check.n_checked} claim(s), {len(check.refuted)} refuted",
         )
-    return report, reach_reports, checks
+    return report, by_component, checks

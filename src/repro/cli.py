@@ -161,7 +161,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         engine=args.engine,
         prune_untestable="proven" if args.prune_untestable else False,
         collapse=args.collapse,
-        reach=args.reach,
         cache=args.cache_dir,
         lanes=args.lanes if args.lanes is not None else DEFAULT_LANES,
     )
@@ -335,7 +334,7 @@ def _analyze_reach(
     Each spec is a phase configuration (``A``/``AB``/``ABC`` — the
     generated self-test program) or an assembly file path; with no
     specs the phase A program is analyzed.  ``components`` restricts
-    the screen (default: all ten).
+    the analysis (default: all ten).
     """
     from repro.analysis.reach import analyze_reach
 
@@ -407,15 +406,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         collapse_reports, collapse_entries = _analyze_collapse(
             targets, args.sat_samples
         )
-    reach_reports: list = []
+    reach_diagnostics: list = []
     reach_entries: list = []
     if do_reach:
-        reach_reports, reach_entries = _analyze_reach(
+        reach_diagnostics, reach_entries = _analyze_reach(
             targets, args.component or [], args.sat_samples
         )
     reports = (
         program_reports + netlist_reports + formal_reports
-        + collapse_reports + reach_reports
+        + collapse_reports + reach_diagnostics
     )
 
     if args.json:
@@ -445,7 +444,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     netlist_failed = any(not r.ok for r in netlist_reports)
     formal_failed = any(not r.ok for r in formal_reports)
     collapse_failed = any(not r.ok for r in collapse_reports)
-    reach_failed = any(not r.ok for r in reach_reports)
+    reach_failed = any(not r.ok for r in reach_diagnostics)
     if reach_failed:
         return EXIT_ANALYZE_REACH
     if collapse_failed:
@@ -543,13 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "fault universe is sharded over a persistent "
                           "pool and the merged tables are bit-identical "
                           "to --jobs 1 (default: 1 = serial)")
-    p_c.add_argument("--reach", action="store_true",
-                     help="skip simulating fault classes the program-aware "
-                          "reach screen (abstract interpretation of the "
-                          "self-test program, repro.analysis.reach) proves "
-                          "unexercised; verdicts and Tables 4/5 are "
-                          "bit-identical either way — the screened classes "
-                          "stay undetected in the FC denominator")
     p_c.add_argument("--collapse", action=argparse.BooleanOptionalAction,
                      default=True,
                      help="grade through the structural collapse map: "
@@ -658,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--component", action="append", metavar="NAME",
                       help="component short name to analyze (repeatable; "
                            "same as a positional target, except for "
-                           "'reach' where it restricts the screened "
+                           "'reach' where it restricts the analyzed "
                            "components)")
     p_an.add_argument("--all", action="store_true",
                       help="run the program and netlist analyzers over "

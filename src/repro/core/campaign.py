@@ -30,8 +30,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import CheckpointCorrupt, FaultSimError, ReproRuntimeError
 from repro.core.methodology import SelfTestMethodology, SelfTestProgram
 from repro.faultsim.coverage import CoverageSummary
-from repro.faultsim.differential import Detection
-from repro.faultsim.engine import Stimulus, grade, prune_sets
+from repro.faultsim.engine import Stimulus, grade, resolve_engine
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.observe import ObservePlan, ObserveSpec
@@ -52,8 +51,6 @@ from repro.runtime.policy import RuntimeConfig
 from repro.runtime.runner import JobRunner
 
 if TYPE_CHECKING:
-    from repro.analysis.collapse import CollapseMap
-    from repro.analysis.reach import Pattern, ReachReport
     from repro.core.sharded import ShardVerdict
     from repro.runtime.sharding import ShardTask
 
@@ -155,49 +152,6 @@ def _campaign_options(
     if options.runtime is None and runtime is not None:
         return options.replace(runtime=runtime)
     return options
-
-
-def _program_reach(
-    self_test: SelfTestProgram,
-) -> tuple[str, dict[str, list[Pattern]]] | None:
-    """Abstract-interpret the self-test program once for the reach screen.
-
-    Returns ``(program_digest, patterns)`` — the per-component derived
-    abstract pattern sets (:func:`repro.analysis.reach.derive_patterns`)
-    — or ``None`` when the abstraction degrades, in which case the
-    screen is silently disabled and grading proceeds exactly as with
-    ``reach=False``.
-    """
-    # Local import: repro.analysis.reach imports the fault model, so
-    # the load-time dependency stays one-way.
-    from repro.analysis.absint import interpret_program
-    from repro.analysis.reach import derive_patterns
-
-    abstraction = interpret_program(self_test.program)
-    patterns = derive_patterns(abstraction)
-    if not patterns:
-        return None
-    return abstraction.digest, patterns
-
-
-def _component_reach(
-    digest: str,
-    patterns: dict[str, list[Pattern]],
-    info: ComponentInfo,
-    netlist: Netlist,
-    fault_list: FaultList | None = None,
-) -> ReachReport | None:
-    """One component's reach report against its (transformed) netlist."""
-    from repro.analysis.reach import build_reach_report
-
-    if info.name not in patterns:
-        return None
-    if fault_list is None:
-        fault_list = build_fault_list(netlist)
-    return build_reach_report(
-        netlist, fault_list, patterns[info.name],
-        component=info.name, program_digest=digest,
-    )
 
 
 def grade_component(
@@ -331,7 +285,6 @@ def _result_to_record(
         "proven": sorted(result.proven),
         "n_simulated": result.n_simulated,
         "n_inferred": result.n_inferred,
-        "n_reach_skipped": result.n_reach_skipped,
         "collapse_hash": result.collapse_hash,
     }
 
@@ -368,7 +321,6 @@ def _record_to_result(
     )
     result.n_simulated = int(record.get("n_simulated", 0))
     result.n_inferred = int(record.get("n_inferred", 0))
-    result.n_reach_skipped = int(record.get("n_reach_skipped", 0))
     result.collapse_hash = str(record.get("collapse_hash", ""))
     return result, record["nand2"]
 
@@ -439,19 +391,12 @@ def grade_traced(
         options, runtime=runtime, prune_untestable=prune_untestable,
         engine=engine, collapse=collapse,
     )
-    if opts.reach_report is not None:
-        raise FaultSimError(
-            "campaign-level options must use reach=True/False; a "
-            "precomputed ReachReport is bound to a single "
-            "(program, component) pair"
-        )
     effective_jobs = jobs
     if effective_jobs is None:
         effective_jobs = runtime.jobs if runtime is not None else 1
     if effective_jobs < 1:
         raise ReproRuntimeError(f"jobs must be >= 1, got {effective_jobs}")
 
-    reach_info = _program_reach(self_test) if opts.reach_requested else None
     outcome = CampaignOutcome(
         phases=self_test.phases, self_test=self_test, cpu_result=cpu_result
     )
@@ -459,7 +404,7 @@ def grade_traced(
     if effective_jobs > 1:
         _grade_traced_parallel(
             outcome, self_test, specs, wanted, verbose, netlist_transform,
-            runtime, opts, effective_jobs, reach_info,
+            runtime, opts, effective_jobs,
         )
         return outcome
     runner = JobRunner(runtime) if runtime is not None else None
@@ -468,36 +413,19 @@ def grade_traced(
             continue
         stimulus, observe = specs[info.name]
         degraded = False
-        copts = opts
-        if reach_info is not None and stimulus:
-            # Stamp the component's reach report onto the options the
-            # job grades with; the job fingerprint is unchanged (the
-            # screen never changes verdicts, so journaled records stay
-            # reusable across the flag).
-            rnetlist = info.builder()
-            if netlist_transform is not None:
-                rnetlist = netlist_transform(rnetlist)
-            report = _component_reach(
-                reach_info[0], reach_info[1], info, rnetlist
-            )
-            copts = opts.replace(
-                reach=report if report is not None else False
-            )
-        elif opts.reach_requested:
-            copts = opts.replace(reach=False)
         if runner is None:
             started = time.perf_counter()
             result, nand2 = _grading_job(
-                info.name, stimulus, observe, netlist_transform, copts
+                info.name, stimulus, observe, netlist_transform, opts
             )
             elapsed = time.perf_counter() - started
         else:
             key = f"{self_test.phases}:{info.name}"
             fingerprint = _job_fingerprint(
-                self_test, info, netlist_transform, copts
+                self_test, info, netlist_transform, opts
             )
             job_args = (info.name, stimulus, observe, netlist_transform,
-                        copts)
+                        opts)
             job = runner.run(
                 key=key, fn=_grading_job, args=job_args,
                 fingerprint=fingerprint, serialize=_result_to_record,
@@ -543,16 +471,12 @@ def grade_traced(
             inferred = (
                 f", {result.n_inferred} inferred" if result.n_inferred else ""
             )
-            screened = (
-                f", {result.n_reach_skipped} reach-screened"
-                if result.n_reach_skipped else ""
-            )
             cached = ", store hit" if result.cache_hit else ""
             print(
                 f"  {info.name:6s} FC={result.fault_coverage:6.2f}% "
                 f"({result.n_detected}/{result.n_faults} faults, "
                 f"{len(stimulus)} stimulus entries, {elapsed:.1f}s"
-                f"{pruned}{inferred}{screened}{cached}){marker}"
+                f"{pruned}{inferred}{cached}){marker}"
             )
     if runner is not None:
         outcome.events = runner.events.events
@@ -572,7 +496,6 @@ def _grade_traced_parallel(
     runtime: RuntimeConfig | None,
     options: GradeOptions,
     jobs: int,
-    reach_info: tuple[str, dict[str, list[Pattern]]] | None = None,
 ) -> None:
     """Shard every component's fault universe over a persistent pool.
 
@@ -623,19 +546,13 @@ def _grade_traced_parallel(
     previous_store = set_active_store(None)
     install_shard_context(context)
     store = options.store
-    # Packed words carry ``lanes - 1`` fault classes; aligning shard
-    # bounds keeps every word fully occupied (verdicts are identical
-    # for any partition — this is purely a throughput knob).
-    lane_align = (
-        options.lanes - 1 if options.effective_engine() == "packed" else 1
-    )
 
     try:
         # plan: (info, fault_list, nand2, n_patterns, comp_tasks,
-        #        cached_result, store_key, reach_members)
+        #        cached_result, store_key)
         plan: list[tuple[
             ComponentInfo, FaultList, int, int, list[ShardTask],
-            CampaignResult | None, str, tuple[int, ...],
+            CampaignResult | None, str,
         ]] = []
         tasks: list[ShardTask] = []
         for info in COMPONENTS:
@@ -650,7 +567,7 @@ def _grade_traced_parallel(
             if not stimulus:
                 # Never excited: all faults stay undetected.  Handled in
                 # the parent — no grading work to shard.
-                plan.append((info, fault_list, nand2, 0, [], None, "", ()))
+                plan.append((info, fault_list, nand2, 0, [], None, ""))
                 continue
             # Shard bounds index the universe the workers will grade:
             # base class representatives uncollapsed, super-class
@@ -659,48 +576,12 @@ def _grade_traced_parallel(
             # from the other universe.
             universe_size = fault_list.n_collapsed
             chash = ""
-            cmap: CollapseMap | None = None
             if options.collapse_requested:
                 from repro.analysis.collapse import compute_collapse
 
                 cmap = compute_collapse(netlist, fault_list)
                 universe_size = len(cmap.simulation_order())
                 chash = cmap.collapse_hash
-            # Reach screen: drop proven-unexercised classes from the
-            # sharded universe.  Workers recompute the identical
-            # reduction from the context's report; the parent
-            # synthesises the dropped classes' verdicts after the
-            # merge.  The reach hash joins the shard fingerprint
-            # because shard bounds then index the reduced universe.
-            reach_members: tuple[int, ...] = ()
-            rsuffix = ""
-            if reach_info is not None:
-                report = _component_reach(
-                    reach_info[0], reach_info[1], info, netlist,
-                    fault_list,
-                )
-                if report is not None and report.proven:
-                    from repro.analysis.reach import reach_reduction
-
-                    context.reach[info.name] = report
-                    pskip, _ = prune_sets(
-                        netlist, fault_list, options.prune_mode
-                    )
-                    rdrop = reach_reduction(
-                        report, fault_list, cmap, pskip
-                    )
-                    if rdrop:
-                        universe_size -= len(rdrop)
-                        rsuffix = f":r{report.reach_hash}"
-                        if cmap is None:
-                            reach_members = tuple(sorted(rdrop))
-                        else:
-                            reach_members = tuple(
-                                m
-                                for s in sorted(rdrop)
-                                for m in cmap.members(s)
-                                if m not in pskip
-                            )
             store_key = ""
             if store is not None:
                 plan_obs = ObservePlan.from_spec(
@@ -724,18 +605,23 @@ def _grade_traced_parallel(
                     if cached is not None:
                         plan.append((
                             info, fault_list, nand2, len(stimulus), [],
-                            cached, store_key, (),
+                            cached, store_key,
                         ))
                         continue
             comp_tasks: list[ShardTask] = []
             if universe_size > 0:
+                # Packed words carry ``lanes - 1`` fault classes; aligning
+                # shard bounds keeps every word fully occupied (verdicts
+                # are identical for any partition — a throughput knob).
+                packed = resolve_engine(netlist, options).name == "packed"
+                lane_align = options.lanes - 1 if packed else 1
                 shards = plan_shards(
                     universe_size, jobs, lane_align=lane_align
                 )
                 base = _job_fingerprint(
                     self_test, info, netlist_transform, options
                 )
-                suffix = (f":c{chash}" if chash else "") + rsuffix
+                suffix = f":c{chash}" if chash else ""
                 n = len(shards)
                 comp_tasks = [
                     ShardTask(
@@ -755,7 +641,7 @@ def _grade_traced_parallel(
             tasks.extend(comp_tasks)
             plan.append((
                 info, fault_list, nand2, len(stimulus), comp_tasks,
-                None, store_key, reach_members,
+                None, store_key,
             ))
 
         scheduler = ShardScheduler(
@@ -768,7 +654,7 @@ def _grade_traced_parallel(
 
     journal_path = getattr(scheduler.runner.checkpoint, "path", None)
     for (info, fault_list, nand2, n_patterns, comp_tasks, cached_result,
-         store_key, reach_members) in plan:
+         store_key) in plan:
         degraded = False
         elapsed = 0.0
         if cached_result is not None:
@@ -800,15 +686,6 @@ def _grade_traced_parallel(
             result = merge_shard_results(
                 info.name, fault_list, n_patterns, verdicts
             )
-            # Reach-screened classes were dropped from every shard;
-            # synthesise the verdict any engine would report for an
-            # unexercised fault so the merged record (and any stored
-            # payload) matches a reach-off run field for field.
-            for member in reach_members:
-                result.detections[member] = Detection(
-                    False, excited=False
-                )
-            result.n_reach_skipped = len(reach_members)
             if store is not None and store_key and not degraded:
                 store.save_verdicts(store_key, verdicts_payload(result))
         outcome.results[info.name] = result
@@ -826,16 +703,12 @@ def _grade_traced_parallel(
             inferred = (
                 f", {result.n_inferred} inferred" if result.n_inferred else ""
             )
-            screened = (
-                f", {result.n_reach_skipped} reach-screened"
-                if result.n_reach_skipped else ""
-            )
             cached = ", store hit" if result.cache_hit else ""
             print(
                 f"  {info.name:6s} FC={result.fault_coverage:6.2f}% "
                 f"({result.n_detected}/{result.n_faults} faults, "
                 f"{len(comp_tasks)} shards, {elapsed:.1f}s compute"
-                f"{pruned}{inferred}{screened}{cached}){marker}"
+                f"{pruned}{inferred}{cached}){marker}"
             )
     outcome.events = scheduler.events.events
 

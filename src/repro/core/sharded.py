@@ -49,7 +49,6 @@ from repro.plasma.components import component
 
 if TYPE_CHECKING:
     from repro.analysis.collapse import CollapseMap
-    from repro.analysis.reach import ReachReport
 
 
 @dataclass
@@ -67,20 +66,12 @@ class ShardContext:
             shards slice the super-class simulation order instead of
             the base class list; verdicts expand to every member, so
             the merge and coverage are unchanged.
-        reach: per component name, the program-aware
-            :class:`~repro.analysis.reach.ReachReport` (populated by the
-            parent when the campaign runs with ``reach=True``).  Workers
-            recompute the parent's deterministic universe reduction from
-            it, so shard bounds index the same reduced list on both
-            sides; the parent synthesises the dropped classes' verdicts
-            after the merge.
     """
 
     stimulus: Mapping[str, Stimulus]
     observe: Mapping[str, ObserveSpec]
     netlist_transform: Callable[[Netlist], Netlist] | None = None
     options: GradeOptions = field(default_factory=GradeOptions)
-    reach: dict[str, ReachReport] = field(default_factory=dict)
 
 
 @dataclass
@@ -114,7 +105,7 @@ _CONTEXT: ShardContext | None = None
 #: Build-once per-worker grading state for one component: ``cmap`` is
 #: the collapse map (or None) and ``universe`` is what shard bounds
 #: index — base class representatives uncollapsed, super-class keys
-#: collapsed (reach-reduced in either case when the screen is on).
+#: collapsed.
 _ComponentState = tuple[
     Netlist, FaultList, ObservePlan, FaultSimEngine,
     frozenset[int], frozenset[int], Stimulus,
@@ -170,16 +161,6 @@ def _component_state(name: str) -> _ComponentState:
 
         cmap = compute_collapse(netlist, fault_list)
         universe = cmap.simulation_order()
-    report = context.reach.get(name)
-    if report is not None:
-        # Mirror the parent's reach reduction exactly (deterministic):
-        # shard bounds index the reduced universe on both sides.
-        from repro.analysis.reach import reach_reduction
-
-        report.validate_for(netlist, fault_list)
-        rdrop = reach_reduction(report, fault_list, cmap, skip)
-        if rdrop:
-            universe = [u for u in universe if u not in rdrop]
     state = (
         netlist, fault_list, plan, engine, skip, proven, stimulus,
         cmap, universe,

@@ -430,12 +430,6 @@ def grade(
         ``cache_hit=True`` and zero simulated classes.
     """
     opts = options if options is not None else GradeOptions()
-    if opts.reach is True:
-        raise FaultSimError(
-            "grade() has no program to analyze; reach=True is a "
-            "campaign-level request — pass a precomputed ReachReport "
-            "(repro.analysis.reach.build_reach_report) instead"
-        )
 
     combinational = not netlist.dffs
     if not stimulus:
@@ -491,24 +485,6 @@ def grade(
                     pass  # malformed record: fall through and re-grade
 
         skip, proven = prune_sets(netlist, fault_list, mode)
-
-        # Program-aware reach screen: classes the static screen proved
-        # unexercised never diverge from the good machine, so their
-        # simulation is skipped and the verdict every engine would
-        # report — Detection(False, excited=False) — is synthesised.
-        # Verdicts stay bit-identical to a reach-off run by construction
-        # (DESIGN.md §15); only the workload accounting changes.
-        reach = opts.reach_report
-        rdrop: frozenset[int] = frozenset()
-        if reach is not None:
-            # Local import: repro.analysis.reach imports this package's
-            # fault model, so the dependency stays one-way.
-            from repro.analysis.reach import reach_reduction
-
-            reach.validate_for(netlist, fault_list)
-            rdrop = reach_reduction(reach, fault_list, cmap, skip)
-        n_reach_skipped = 0
-
         if cmap is not None:
             supers: Sequence[int] | None = None
             restrict: frozenset[int] | None = None
@@ -518,47 +494,19 @@ def grade(
                     cmap.super_of[r] for r in restrict if r in cmap.super_of
                 }
                 supers = [s for s in cmap.simulation_order() if s in wanted]
-            if rdrop:
-                supers = [
-                    s
-                    for s in (
-                        supers if supers is not None
-                        else cmap.simulation_order()
-                    )
-                    if s not in rdrop
-                ]
             result = _grade_collapsed(
                 selected, netlist, stimulus, fault_list, plan, cmap,
                 name=label, skip=skip, supers=supers, restrict=restrict,
             )
-            for s in sorted(rdrop):
-                for member in cmap.members(s):
-                    if member in skip:
-                        continue
-                    if restrict is not None and member not in restrict:
-                        continue
-                    result.detections[member] = Detection(
-                        False, excited=False
-                    )
-                    n_reach_skipped += 1
         else:
             result = selected.grade(
                 netlist, stimulus, fault_list, plan,
-                name=label, skip=skip | rdrop, only=opts.subset,
+                name=label, skip=skip, only=opts.subset,
             )
             result.pruned = set(skip)
             result.n_simulated = len(
-                _graded_reps(fault_list, skip | rdrop, opts.subset)
+                _graded_reps(fault_list, skip, opts.subset)
             )
-            only = (
-                None if opts.subset is None else frozenset(opts.subset)
-            )
-            for rep in sorted(rdrop):
-                if only is not None and rep not in only:
-                    continue
-                result.detections[rep] = Detection(False, excited=False)
-                n_reach_skipped += 1
-        result.n_reach_skipped = n_reach_skipped
         result.proven = set(proven)
         if store is not None and store_key:
             store.save_verdicts(store_key, verdicts_payload(result))

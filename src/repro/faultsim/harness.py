@@ -41,14 +41,6 @@ class CampaignResult:
             accounting the collapse benchmark reports.
         n_inferred: dominator verdicts inferred from a detected child
             instead of simulated (0 without collapsing).
-        n_reach_skipped: classes whose simulation the program-aware
-            reach screen (``GradeOptions(reach=...)``) proved
-            unnecessary — the stimulus never drives the fault site to
-            the opposite value, so the verdict is synthesised as
-            undetected/unexcited without running an engine.  Like
-            pruning, this is workload accounting only: the classes stay
-            in the FC denominator and the synthesised verdicts are
-            bit-identical to what simulation would report.
         collapse_hash: digest of the applied
             :class:`~repro.analysis.collapse.CollapseMap` (empty when
             grading ran uncollapsed); recorded in checkpoint
@@ -67,7 +59,6 @@ class CampaignResult:
     proven: set[int] = field(default_factory=set)
     n_simulated: int = 0
     n_inferred: int = 0
-    n_reach_skipped: int = 0
     collapse_hash: str = ""
     cache_hit: bool = False
 

@@ -17,11 +17,6 @@ single frozen dataclass:
   as-is;
 * **a checkpoint fingerprint** — :meth:`fingerprint` digests exactly the
   verdict-shaping knobs, so journal reuse rules live in one place.
-
-Legacy keyword arguments on :func:`~repro.faultsim.grade` still work for
-one release but emit :class:`DeprecationWarning` and are folded into a
-``GradeOptions`` internally (``docs/API.md`` §6 maps each keyword to its
-field).
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.faultsim.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.collapse import CollapseMap
-    from repro.analysis.reach import ReachReport
 
 #: Default packed-lane group count for the ``packed`` engine: the good
 #: machine rides group 0, so one word carries up to 63 fault classes.
@@ -93,17 +87,6 @@ class GradeOptions:
             simulates super-class representatives only; a precomputed
             :class:`~repro.analysis.collapse.CollapseMap` is reused
             as-is; ``False`` grades every class.
-        reach: program-aware unexercised-fault screen.  A precomputed
-            :class:`~repro.analysis.reach.ReachReport` (bound to one
-            (program, component) pair) makes grading skip simulation of
-            its proven-unexercised classes and synthesise their
-            verdicts (such a fault is by construction undetected and
-            unexcited by this program).  ``True`` asks the *campaign*
-            layer to derive one report per component from the program
-            abstraction — :func:`repro.faultsim.grade` itself has no
-            program to analyze and rejects it.  ``False`` disables the
-            screen.  Verdicts are invariant under it, so it is excluded
-            from :meth:`fingerprint`.
         cache: persistent content-addressed store for good traces and
             verdict records — a :class:`~repro.faultsim.store.TraceStore`
             or a cache-directory path (normalised to a store at
@@ -121,7 +104,6 @@ class GradeOptions:
     prune_untestable: bool | str = False
     subset: Sequence[int] | None = None
     collapse: "bool | CollapseMap" = False
-    reach: "bool | ReachReport" = False
     cache: TraceStore | str | Path | None = None
     lanes: int = DEFAULT_LANES
     runtime: object | None = None
@@ -171,16 +153,6 @@ class GradeOptions:
     def collapse_requested(self) -> bool:
         """True when grading should run through a collapse map."""
         return self.collapse is not False
-
-    @property
-    def reach_report(self) -> "ReachReport | None":
-        """A precomputed reach report, when one was passed directly."""
-        return None if isinstance(self.reach, bool) else self.reach
-
-    @property
-    def reach_requested(self) -> bool:
-        """True when grading should apply the unexercised-fault screen."""
-        return self.reach is not False
 
     def effective_engine(self) -> str:
         """The engine spec after folding in ``runtime.engine``.

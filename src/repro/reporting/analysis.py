@@ -129,19 +129,19 @@ def render_collapse_table(entries) -> str:
 
 
 def render_reach_table(entries) -> str:
-    """Program-aware reach-screen summary per component.
+    """Program-aware reach-analysis summary per component.
 
     Args:
         entries: iterable of ``(ReachReport, ReachCheck)`` pairs (see
             :mod:`repro.analysis.reach`), one per component, rendered in
             the given order.
 
-    ``proven`` is the share of the class universe the screen certifies
-    as unexercised by the analyzed program — exactly the classes a
-    ``reach``-enabled campaign skips simulating.  The SAT column counts
-    spot-checked constant-net claims; ``refuted`` must be 0 everywhere
-    or the abstract interpretation is unsound (rule RC302).  Degraded
-    components (abstraction gave up) decide nothing and grade normally.
+    ``proven`` is the share of the class universe the analysis certifies
+    as unexercised by the analyzed program — faults no grade of that
+    program can detect, whatever the observability.  The SAT column
+    counts spot-checked constant-net claims; ``refuted`` must be 0
+    everywhere or the abstract interpretation is unsound (rule RC302).
+    Degraded components (abstraction gave up) decide nothing.
     """
     lines = [
         f"{'name':6s} {'classes':>8s} {'exercised':>10s} {'proven':>7s} "

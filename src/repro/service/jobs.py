@@ -264,7 +264,6 @@ class CampaignService:
         )
         digest.update(request.to_options().fingerprint().encode())
         digest.update(b"collapse" if request.collapse else b"")
-        digest.update(b"reach" if request.reach else b"")
         return digest.hexdigest()
 
     async def submit(
@@ -446,9 +445,6 @@ class CampaignService:
             ),
             "n_inferred": sum(
                 r.n_inferred for r in outcome.results.values()
-            ),
-            "n_reach_skipped": sum(
-                r.n_reach_skipped for r in outcome.results.values()
             ),
             "cached_components": list(outcome.cached_components),
             "degraded_components": list(outcome.degraded_components),

@@ -38,7 +38,6 @@ KNOWN_FIELDS = (
     "engine",
     "lanes",
     "collapse",
-    "reach",
     "prune_untestable",
     "jobs",
     "tenant",
@@ -85,9 +84,6 @@ class CampaignRequest:
         engine: fault-sim engine name or ``"auto"``.
         lanes: packed-engine lane groups per word.
         collapse: grade through the structural collapse map.
-        reach: apply the program-aware unexercised-fault screen
-            (:mod:`repro.analysis.reach`); verdicts are unchanged, the
-            proven-unexercised classes just skip simulation.
         prune_untestable: ``False`` / ``"structural"`` / ``"proven"``.
         jobs: per-campaign shard workers (1 = in-process grading).
         tenant: quota accounting identity.
@@ -100,7 +96,6 @@ class CampaignRequest:
     engine: str = "auto"
     lanes: int = DEFAULT_LANES
     collapse: bool = True
-    reach: bool = False
     prune_untestable: bool | str = False
     jobs: int = 1
     tenant: str = "default"
@@ -115,7 +110,6 @@ class CampaignRequest:
             engine=self.engine,
             prune_untestable=self.prune_untestable,
             collapse=self.collapse,
-            reach=self.reach,
             cache=cache if self.cache else None,
             lanes=self.lanes,
         )
@@ -130,7 +124,6 @@ class CampaignRequest:
             "engine": self.engine,
             "lanes": self.lanes,
             "collapse": self.collapse,
-            "reach": self.reach,
             "prune_untestable": self.prune_untestable,
             "jobs": self.jobs,
             "tenant": self.tenant,
@@ -216,7 +209,6 @@ def parse_campaign_request(
     engine = check.get("engine", str, "auto", kinds_label="a string")
     lanes = check.get("lanes", int, DEFAULT_LANES, kinds_label="an integer")
     collapse = check.get("collapse", bool, True, kinds_label="a boolean")
-    reach = check.get("reach", bool, False, kinds_label="a boolean")
     prune = body.get("prune_untestable", False)
     if not (isinstance(prune, bool) or prune in ("structural", "proven")):
         check.problem(
@@ -253,7 +245,6 @@ def parse_campaign_request(
             engine=engine,
             lanes=lanes,
             collapse=collapse,
-            reach=reach,
             prune_untestable=prune,
             jobs=jobs,
             tenant=tenant,

@@ -1,11 +1,11 @@
-"""Unit tests for the program-aware reach screen.
+"""Unit tests for the program-aware reach analysis.
 
 Covers the abstract word domain (soundness of every transfer function
 against concrete sampling), the program interpreter (small assembled
-programs, degrade policies), pattern derivation, report classification,
-the grading reduction rules, and the SAT cross-check — including a
-forged-claim refutation.  The engine-level identity guarantees live in
-``tests/faultsim/test_reach_property.py``.
+programs, degrade policies), pattern derivation, report classification
+and the SAT cross-check — including a forged-claim refutation.  The
+engine-level soundness property (every proven class grades undetected
+and unexcited) lives in ``tests/faultsim/test_reach_property.py``.
 """
 
 import dataclasses
@@ -24,10 +24,8 @@ from repro.analysis.reach import (
     analyze_reach,
     build_reach_report,
     derive_patterns,
-    reach_reduction,
     reach_spot_check,
 )
-from repro.errors import FaultSimError
 from repro.faultsim.faults import build_fault_list
 from repro.isa.assembler import assemble
 from repro.netlist.builder import NetlistBuilder
@@ -191,6 +189,13 @@ class TestInterpretProgram:
         assert abstraction.degraded
         assert "code segment" in abstraction.degrade_reason
 
+    def test_observe_stores_stops_at_first_code_store(self):
+        # The store overwrites the `j halt` word; the run must end there
+        # rather than spin through the instruction budget.
+        program = assemble(SELF_MODIFYING)
+        halt = program.symbols["halt"]
+        assert observe_stores(program) == frozenset({halt})
+
     def test_loop_converges_and_loses_counter_precision(self):
         abstraction = interpret_program(assemble(LOOP))
         assert not abstraction.degraded
@@ -309,16 +314,6 @@ class TestBuildReachReport:
         free = build_reach_report(netlist, fault_list, [{"a": (0, 0)}])
         assert y not in free.net_consts
 
-    def test_validate_for_rejects_other_netlist(self):
-        netlist, other = _and_netlist(), _seq_netlist()
-        fault_list = build_fault_list(netlist)
-        report = build_reach_report(
-            netlist, fault_list, [{"a": (1, 0), "b": (1, 1)}]
-        )
-        report.validate_for(netlist, fault_list)
-        with pytest.raises(FaultSimError, match="another netlist"):
-            report.validate_for(other, build_fault_list(other))
-
     def test_reach_hash_is_content_addressed(self):
         netlist = _and_netlist()
         fault_list = build_fault_list(netlist)
@@ -333,50 +328,6 @@ class TestBuildReachReport:
         )
         assert one.reach_hash == same.reach_hash
         assert one.reach_hash != other.reach_hash
-
-
-class TestReachReduction:
-    def test_uncollapsed_drops_proven_outside_skip(self):
-        netlist = _and_netlist()
-        fault_list = build_fault_list(netlist)
-        report = build_reach_report(
-            netlist, fault_list, [{"a": (1, 0), "b": (1, 1)}]
-        )
-        assert report.proven
-        some = next(iter(report.proven))
-        dropped = reach_reduction(report, fault_list, None, frozenset())
-        assert dropped == report.proven
-        reduced = reach_reduction(report, fault_list, None, {some})
-        assert reduced == report.proven - {some}
-
-    def test_collapsed_requires_every_member_proven(self):
-        from repro.analysis.collapse import compute_collapse
-
-        netlist = _and_netlist()
-        fault_list = build_fault_list(netlist)
-        cmap = compute_collapse(netlist, fault_list)
-        report = build_reach_report(
-            netlist, fault_list, [{"a": (1, 0), "b": (1, 1)}]
-        )
-        dropped = reach_reduction(report, fault_list, cmap, frozenset())
-        for super_rep in dropped:
-            assert all(
-                m in report.proven for m in cmap.members(super_rep)
-            )
-        for super_rep in set(cmap.simulation_order()) - dropped:
-            members = list(cmap.members(super_rep))
-            assert not members or not all(
-                m in report.proven for m in members
-            )
-
-    def test_degraded_report_drops_nothing(self):
-        netlist = _seq_netlist()
-        fault_list = build_fault_list(netlist)
-        report = build_reach_report(netlist, fault_list, ())
-        assert report.degraded
-        assert reach_reduction(
-            report, fault_list, None, frozenset()
-        ) == frozenset()
 
 
 class TestSpotCheck:

@@ -136,6 +136,20 @@ class TestCheckpointRoundTrip:
         )
         assert restored.proven == set()
 
+    def test_records_with_reach_accounting_still_load(self):
+        netlist = build_component("PCL")
+        stimulus = [{p.name: 0 for p in netlist.input_ports()}]
+        result = grade(netlist, stimulus,
+                       options=GradeOptions(name="PCL"))
+        record = campaign_mod._result_to_record((result, 1))
+        assert "n_reach_skipped" not in record
+        record["n_reach_skipped"] = 66  # journals written with reach on
+        restored, _ = campaign_mod._record_to_result(
+            record, component("PCL")
+        )
+        assert restored.detected == result.detected
+        assert not hasattr(restored, "n_reach_skipped")
+
 
 class TestShardRoundTrip:
     def _verdict(self):

@@ -142,6 +142,31 @@ class TestShardResume:
         )
 
 
+class TestLaneAlignment:
+    def test_auto_packed_component_shards_are_lane_aligned(self, tmp_path):
+        # ``auto`` grades ALU with the packed engine, so its interior
+        # shard bounds snap to whole packed words (``lanes - 1`` faults).
+        from repro.faultsim.options import DEFAULT_LANES
+
+        run_campaign(
+            "A", components=["ALU"], runtime=_config(tmp_path), jobs=2
+        )
+        records = [
+            json.loads(line)
+            for line in CheckpointStore(tmp_path).path.read_text().splitlines()
+        ]
+        assert len(records) > 1
+        bounds = set()
+        for record in records:
+            span = record["fingerprint"].split(":")[1]  # "lo-hi/universe"
+            lo, hi = span.split("/")[0].split("-")
+            bounds |= {int(lo), int(hi)}
+        universe = int(span.split("/")[1])
+        interior = bounds - {0, universe}
+        assert interior
+        assert all(b % (DEFAULT_LANES - 1) == 0 for b in interior)
+
+
 class TestShardDegradation:
     def test_crashed_component_degrades_only_itself(self, monkeypatch):
         monkeypatch.setattr(sharded_mod, "grade_shard", _crash_bmux)

@@ -266,6 +266,15 @@ class TestFailurePaths:
             assert "unknown engine 'compiled'" in issue["message"]
             assert "auto, differential, packed" in issue["message"]
 
+    def test_removed_reach_field_is_400(self):
+        with running_server(workers=0) as port:
+            status, _, payload = request(
+                port, "POST", "/v1/campaigns", {"reach": True},
+            )
+            assert status == 400
+            (issue,) = payload["issues"]
+            assert issue == {"field": "reach", "message": "unknown field"}
+
     def test_unknown_campaign_is_404(self):
         with running_server(workers=0) as port:
             for path in ("/v1/campaigns/nope", "/v1/campaigns/nope/events"):

@@ -525,23 +525,14 @@ class TestAnalyzeJsonEnvelope:
 
 
 class TestCampaignReach:
-    def test_reach_flag_matches_plain_tables(self, capsys):
-        import re
-
-        def normalized(text):
-            # Wall-clock durations and the reach accounting (the
-            # "N reach-screened" note) may differ; the tables must not.
-            text = re.sub(r"\d+\.\d+s", "_s", text)
-            return re.sub(r", \d+ reach-screened", "", text)
-
-        assert main(["campaign", "--phases", "A",
-                     "--components", "GL", "--reach"]) == 0
-        screened = capsys.readouterr().out
-        assert "reach-screened" in screened
-        assert main(["campaign", "--phases", "A",
-                     "--components", "GL"]) == 0
-        plain = capsys.readouterr().out
-        assert normalized(screened) == normalized(plain)
+    def test_reach_flag_rejected_by_parser(self, capsys):
+        # The reach analysis is `repro analyze reach` only; grading
+        # never consults it, so campaign has no --reach flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--phases", "A", "--components", "GL",
+                  "--reach"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --reach" in capsys.readouterr().err
 
 
 class TestCampaignCollapse:
