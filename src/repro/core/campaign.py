@@ -33,6 +33,7 @@ from repro.faultsim.coverage import CoverageSummary
 from repro.faultsim.engine import Stimulus, grade, resolve_engine
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
+from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObservePlan, ObserveSpec
 from repro.faultsim.options import GradeOptions
 from repro.faultsim.store import (
@@ -325,6 +326,24 @@ def _record_to_result(
     return result, record["nand2"]
 
 
+def _engine_note(
+    result: CampaignResult, options: GradeOptions, stimulus: Stimulus
+) -> str:
+    """``", engine packed (held 98%)"`` for a verbose progress line.
+
+    The held share (what ``"auto"`` reads) is shown for sequential
+    components only.  Empty when nothing was simulated: no stimulus, or
+    a store replay.
+    """
+    if not stimulus or result.cache_hit:
+        return ""
+    netlist = result.fault_list.netlist
+    name = resolve_engine(netlist, options, stimulus).name
+    if netlist.dffs:
+        return f", engine {name} (held {held_share(stimulus):.0%})"
+    return f", engine {name}"
+
+
 def _ungraded_result(
     info: ComponentInfo, netlist_transform: NetlistTransform | None = None
 ) -> tuple[CampaignResult, int]:
@@ -472,11 +491,12 @@ def grade_traced(
                 f", {result.n_inferred} inferred" if result.n_inferred else ""
             )
             cached = ", store hit" if result.cache_hit else ""
+            engine = _engine_note(result, opts, stimulus)
             print(
                 f"  {info.name:6s} FC={result.fault_coverage:6.2f}% "
                 f"({result.n_detected}/{result.n_faults} faults, "
                 f"{len(stimulus)} stimulus entries, {elapsed:.1f}s"
-                f"{pruned}{inferred}{cached}){marker}"
+                f"{engine}{pruned}{inferred}{cached}){marker}"
             )
     if runner is not None:
         outcome.events = runner.events.events
@@ -613,7 +633,10 @@ def _grade_traced_parallel(
                 # Packed words carry ``lanes - 1`` fault classes; aligning
                 # shard bounds keeps every word fully occupied (verdicts
                 # are identical for any partition — a throughput knob).
-                packed = resolve_engine(netlist, options).name == "packed"
+                packed = (
+                    resolve_engine(netlist, options, stimulus).name
+                    == "packed"
+                )
                 lane_align = options.lanes - 1 if packed else 1
                 shards = plan_shards(
                     universe_size, jobs, lane_align=lane_align
@@ -704,11 +727,12 @@ def _grade_traced_parallel(
                 f", {result.n_inferred} inferred" if result.n_inferred else ""
             )
             cached = ", store hit" if result.cache_hit else ""
+            engine = _engine_note(result, options, specs[info.name][0])
             print(
                 f"  {info.name:6s} FC={result.fault_coverage:6.2f}% "
                 f"({result.n_detected}/{result.n_faults} faults, "
                 f"{len(comp_tasks)} shards, {elapsed:.1f}s compute"
-                f"{pruned}{inferred}{cached}){marker}"
+                f"{engine}{pruned}{inferred}{cached}){marker}"
             )
     outcome.events = scheduler.events.events
 

@@ -150,7 +150,7 @@ def _component_state(name: str) -> _ComponentState:
         context.observe[name], len(stimulus), netlist
     )
     opts = context.options
-    engine = resolve_engine(netlist, opts)
+    engine = resolve_engine(netlist, opts, stimulus)
     skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
     cmap = None
     universe = reps

@@ -18,8 +18,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from itertools import pairwise
 
 from repro.faultsim.faults import Fault, FaultKind
+from repro.faultsim.held import segment_ends
 from repro.faultsim.simulator import GoodTrace, LogicSimulator
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist, PortDirection
@@ -71,6 +73,9 @@ class DifferentialFaultSimulator:
         self._dffs = netlist.dffs
         self._eval_stamp = [0] * len(netlist.gates)
         self._version = 0
+        self._segment_memo: tuple[
+            GoodTrace, list[dict[int, int]] | None, list[bool], list[int]
+        ] | None = None
         #: All output-port nets (used when observe spec is None).
         self._all_output_nets: tuple[int, ...] = tuple(
             net
@@ -155,23 +160,56 @@ class DifferentialFaultSimulator:
         detected_lanes = 0
         excited = False
 
-        for t in range(trace.n_cycles):
-            good = trace.values[t]
+        rows = trace.values
+        n_cycles = len(rows)
+        # Held-run skip (see repro.faultsim.held): a cycle whose good row
+        # is the previous cycle's and whose entering faulty state is the
+        # previous one's repeats that cycle's diff.  Exact only when the
+        # walk stops at the first detection, because a full walk reports
+        # the last detecting cycle.
+        held, ends = self._segments(trace, observe_nets)
+        last_q: dict[int, int] | None = None
+        diff: dict[int, int] = {}
+        # Drained by every cycle's propagation loop, so shared by all.
+        heap: list[tuple[int, int]] = []
+
+        def schedule_readers(net: int) -> None:
+            for g in readers.get(net, ()):
+                heapq.heappush(heap, (gate_level[g], g))
+
+        t = 0
+        while t < n_cycles:
+            good = rows[t]
 
             # Fast skip: fault currently invisible and no state divergence.
             if not faulty_q and good[site] == forced:
+                last_q = None
+                t += 1
                 continue
             excited = True
+
+            if stop_at_first and held[t] and faulty_q == last_q:
+                # Cycle t repeats cycle t - 1, and so does every cycle up
+                # to the next input change; a new observe entry inside
+                # that run only needs the detection check.
+                while True:
+                    if (
+                        observe_nets is not None
+                        and observe_nets[t] is not observe_nets[t - 1]
+                    ):
+                        bad = self._observed(diff, good, observe_nets[t], mask)
+                        if bad:
+                            return Detection(True, t, bad, excited=True)
+                    t = ends[t]
+                    if t == n_cycles or not held[t]:
+                        break
+                continue
+            last_q = faulty_q
 
             self._version += 1
             version = self._version
             stamp = self._eval_stamp
-            diff: dict[int, int] = {}
-            heap: list[tuple[int, int]] = []
-
-            def schedule_readers(net: int) -> None:
-                for g in readers.get(net, ()):
-                    heapq.heappush(heap, (gate_level[g], g))
+            diff = {}
 
             # Seed: diverged flip-flop state.
             for dff_idx, q_word in faulty_q.items():
@@ -217,37 +255,17 @@ class DifferentialFaultSimulator:
                     schedule_readers(out_net)
 
             # Detection check at observed outputs.
-            if diff:
-                if observe_nets is None:
-                    for net in self._all_output_nets:
-                        d = diff.get(net)
-                        if d is not None:
-                            bad = (d ^ good[net]) & mask
-                            if bad:
-                                detected_lanes |= bad
-                                detected_cycle = t
-                else:
-                    obs = observe_nets[t]
-                    if obs:
-                        if len(diff) < len(obs):
-                            items = (
-                                (net, obs.get(net, 0)) for net in diff
-                            )
-                        else:
-                            items = ((net, m) for net, m in obs.items())
-                        for net, m in items:
-                            if not m:
-                                continue
-                            d = diff.get(net)
-                            if d is not None:
-                                bad = (d ^ good[net]) & m
-                                if bad:
-                                    detected_lanes |= bad
-                                    detected_cycle = t
-                if detected_cycle is not None and stop_at_first:
-                    return Detection(
-                        True, detected_cycle, detected_lanes, excited=True
-                    )
+            obs = None if observe_nets is None else observe_nets[t]
+            if diff and (obs is None or obs):
+                bad = self._observed(diff, good, obs, mask)
+                if bad:
+                    detected_lanes |= bad
+                    detected_cycle = t
+                    if stop_at_first:
+                        return Detection(
+                            True, detected_cycle, detected_lanes,
+                            excited=True,
+                        )
 
             # Latch faulty next state.
             new_faulty_q: dict[int, int] = {}
@@ -265,17 +283,71 @@ class DifferentialFaultSimulator:
                 else:
                     new_faulty_q.pop(fault.gate, None)
             faulty_q = new_faulty_q
+            t += 1
 
         if detected_cycle is not None:
             return Detection(True, detected_cycle, detected_lanes,
                              excited=True)
         return Detection(False, excited=excited)
 
+    def _segments(
+        self,
+        trace: GoodTrace,
+        observe_nets: list[dict[int, int]] | None,
+    ) -> tuple[list[bool], list[int]]:
+        """Held flags and segment ends of one (trace, observe) pair.
+
+        A cycle counts as held when its good row is the previous
+        cycle's row object: the simulator and the store share one row
+        per distinct ``(state, inputs)`` pair, so an aliased row means
+        the good machine repeats the previous cycle.  Memoized on the
+        last pair, since a grade walks every fault over the same one.
+        """
+        memo = self._segment_memo
+        if memo is not None and memo[0] is trace and memo[1] is observe_nets:
+            return memo[2], memo[3]
+        rows = trace.values
+        held = [False, *(a is b for a, b in pairwise(rows))][: len(rows)]
+        ends = segment_ends(held, observe_nets)
+        self._segment_memo = (trace, observe_nets, held, ends)
+        return held, ends
+
+    def _observed(
+        self,
+        diff: dict[int, int],
+        good: Sequence[int],
+        obs: dict[int, int] | None,
+        mask: int,
+    ) -> int:
+        """Lanes on which ``diff`` reaches an observed net.
+
+        ``obs`` is one cycle's ``{net: lane mask}`` map, or ``None`` for
+        every output port on every lane.
+        """
+        bad = 0
+        if obs is None:
+            for net in self._all_output_nets:
+                d = diff.get(net)
+                if d is not None:
+                    bad |= (d ^ good[net]) & mask
+            return bad
+        if len(diff) < len(obs):
+            items = ((net, obs.get(net, 0)) for net in diff)
+        else:
+            items = ((net, m) for net, m in obs.items())
+        for net, m in items:
+            if not m:
+                continue
+            d = diff.get(net)
+            if d is not None:
+                bad |= (d ^ good[net]) & m
+        return bad
+
     def _eval_faulty(
         self,
         gate: Gate,
         diff: dict[int, int],
-        good: list[int],
+        good: Sequence[int],
         mask: int,
         fault: Fault,
     ) -> int:

@@ -9,10 +9,11 @@ Two interchangeable engines grade a fault universe against a stimulus:
 * ``packed`` — fault-parallel bit-packed grading through generated level
   kernels (:mod:`repro.faultsim.packed`): a group of fault classes rides
   one big-int word next to the good machine.  The fast path for deep
-  combinational cones.
+  combinational cones and for sequential stimulus that holds its inputs
+  for long runs.
 
 Both implement the :class:`FaultSimEngine` protocol; ``engine="auto"``
-picks per netlist (:func:`default_engine_name`), and
+picks per netlist and stimulus (:func:`default_engine_name`), and
 :func:`resolve_engine` is the one place an options object becomes an
 engine instance.
 
@@ -42,6 +43,7 @@ from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection, DifferentialFaultSimulator
 from repro.faultsim.faults import Fault, FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
+from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import GradeOptions, resolve_prune_mode
 from repro.faultsim.simulator import GoodTrace
@@ -59,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see grade())
 
 __all__ = [
     "AUTO_MIN_DEPTH",
+    "AUTO_MIN_HELD_SHARE",
     "DifferentialEngine",
     "FaultSimEngine",
     "GradeOptions",
@@ -182,10 +185,6 @@ class DifferentialEngine:
 
 
 # ------------------------------------------------------------ prune modes
-#
-# ``resolve_prune_mode`` moved to :mod:`repro.faultsim.options` (the
-# options object validates prune modes at construction); it is re-exported
-# here for existing importers.
 
 
 def prune_sets(
@@ -226,6 +225,14 @@ _ENGINE_NAMES = ("differential", "packed")
 #: evaluation loses to the differential engine's per-fault early exits.
 AUTO_MIN_DEPTH = 6
 
+#: "auto" sends a sequential circuit to the packed engine when at least
+#: this share of its stimulus cycles are held (repeat the previous input
+#: vector): the packed walk then skips whole held runs for every fault
+#: lane at once.  Measured on phase A, only MulD (98%) qualifies; RegF
+#: (0%), PLN (24%), MCTRL (48%), PCL (50%) and GL (50%) grade faster on
+#: the differential engine.
+AUTO_MIN_HELD_SHARE = 0.9
+
 
 def engine_names() -> tuple[str, ...]:
     """The selectable engine names (``"auto"`` excluded)."""
@@ -246,28 +253,41 @@ def get_engine(name: str) -> FaultSimEngine:
     raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
 
 
-def default_engine_name(netlist: Netlist) -> str:
-    """The engine ``"auto"`` resolves to for one netlist.
+def default_engine_name(
+    netlist: Netlist, stimulus: Stimulus | None = None
+) -> str:
+    """The engine ``"auto"`` resolves to for one netlist and stimulus.
 
-    Sequential circuits and very shallow combinational ones go to the
-    differential engine (per-fault early exits dominate); deep
-    combinational cones go to the packed engine.
+    Combinational: deep cones go to the packed engine, very shallow
+    ones to the differential engine (per-fault early exits dominate).
+    Sequential: the packed engine when at least
+    :data:`AUTO_MIN_HELD_SHARE` of the stimulus cycles are held, else
+    the differential engine (also when no stimulus is given).
     """
-    if netlist.dffs or depth(netlist) < AUTO_MIN_DEPTH:
+    if netlist.dffs:
+        if stimulus is not None and held_share(stimulus) >= AUTO_MIN_HELD_SHARE:
+            return "packed"
+        return "differential"
+    if depth(netlist) < AUTO_MIN_DEPTH:
         return "differential"
     return "packed"
 
 
-def resolve_engine(netlist: Netlist, options: GradeOptions) -> FaultSimEngine:
+def resolve_engine(
+    netlist: Netlist,
+    options: GradeOptions,
+    stimulus: Stimulus | None = None,
+) -> FaultSimEngine:
     """The engine ``options`` select for ``netlist``, ready to grade.
 
     Folds ``runtime.engine`` in, resolves ``"auto"`` per netlist and
-    hands the packed engine its lane count.  :func:`grade` and the shard
-    workers both build their engine here.
+    stimulus (:func:`default_engine_name`) and hands the packed engine
+    its lane count.  :func:`grade`, the shard workers and the campaign's
+    shard planner all build their engine here.
     """
     name = options.effective_engine()
     if name == "auto":
-        name = default_engine_name(netlist)
+        name = default_engine_name(netlist, stimulus)
     if name == "packed":
         from repro.faultsim.packed import PackedEngine
 
@@ -456,7 +476,7 @@ def grade(
             cmap = compute_collapse(netlist, fault_list)
     plan = ObservePlan.from_spec(opts.observe, len(stimulus), netlist)
     label = opts.name or netlist.name
-    selected = resolve_engine(netlist, opts)
+    selected = resolve_engine(netlist, opts, stimulus)
     mode = opts.prune_mode
 
     # Persistent store: activate it for good-trace sharing either way,

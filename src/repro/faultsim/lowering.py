@@ -20,7 +20,8 @@ pipeline:
 3. **fusion** — each gate type lowers to its cheapest big-int form
    (``NOT`` as ``x ^ M``, ``NAND`` as ``(a & b) ^ M``, ``MUX2`` as
    ``a ^ ((a ^ b) & s)`` — three operations instead of four and no ``~``,
-   which would leave the word domain);
+   which would leave the word domain; a *single-lane* program, valid
+   only for ``M == 1``, branches instead: ``b if s else a``);
 4. **code generation** — :func:`compile_seq` emits one function per level
    writing the net array in place, so lane-parallel evaluation can
    interleave fault injection between levels.  The good-machine simulator
@@ -29,7 +30,7 @@ pipeline:
    good-machine side.
 
 Compiled programs are cached process-wide by ``(structural hash,
-observation roots)`` — re-grading a component (cache-warm runs, resumes,
+observation roots, single-lane flag)`` — re-grading a component (cache-warm runs, resumes,
 equivalence suites) skips both lowering and ``exec``.
 """
 
@@ -116,11 +117,15 @@ def _fold_not(op: tuple[str, str]) -> tuple[str, str]:
     return ("var", f"{_wrap(text)} ^ M")
 
 
-def gate_expr(gtype: GateType, ops: list[tuple[str, str]]) -> str:
+def gate_expr(
+    gtype: GateType, ops: list[tuple[str, str]], single_lane: bool = False
+) -> str:
     """Cheapest folded big-int expression for one gate.
 
     Every produced expression stays within ``[0, M]`` provided the
     operands do (no ``~``), so no trailing ``& M`` is needed.
+    ``single_lane`` programs run with ``M == 1`` only, where every
+    value is 0 or 1 and a multiplexer can branch on its select.
     """
     if gtype is GateType.AND:
         return _fold_and(ops)[1]
@@ -152,6 +157,8 @@ def gate_expr(gtype: GateType, ops: list[tuple[str, str]]) -> str:
         if a[0] == "zero":
             return _fold_and([b, s])[1]
         aw, bw, sw = _wrap(a[1]), _wrap(b[1]), _wrap(s[1])
+        if single_lane:
+            return f"{bw} if {sw} else {aw}"
         return f"{aw} ^ (({aw} ^ {bw}) & {sw})"
     raise FaultSimError(f"unhandled gate type {gtype}")  # pragma: no cover
 
@@ -209,11 +216,15 @@ def _count_folded(gates: Sequence[Gate]) -> int:
     )
 
 
-def compile_seq(netlist: Netlist, roots: Iterable[int]) -> CompiledSeq:
+def compile_seq(
+    netlist: Netlist, roots: Iterable[int], single_lane: bool = False
+) -> CompiledSeq:
     """Lower a netlist for batched-lane cycle walks (see module doc).
 
     ``roots`` must contain every net whose value the driver reads back:
-    observed output nets plus every DFF ``D`` net.
+    observed output nets plus every DFF ``D`` net.  A ``single_lane``
+    program is valid only when called with ``M == 1`` (the good
+    machine's single-lane cycle walk); see :func:`gate_expr`.
     """
     gate_level = levels(netlist)
     order = levelize(netlist)
@@ -238,7 +249,9 @@ def compile_seq(netlist: Netlist, roots: Iterable[int]) -> CompiledSeq:
     for level in range(1, max_level + 1):
         lines = [f"def _lvl{level}(v, M):"]
         for g in by_level.get(level, []):
-            expr = gate_expr(g.gtype, [opnd(n) for n in g.inputs])
+            expr = gate_expr(
+                g.gtype, [opnd(n) for n in g.inputs], single_lane
+            )
             lines.append(f"    v[{g.output}] = {expr}")
         if len(lines) == 1:
             lines.append("    pass")
@@ -269,21 +282,25 @@ def compile_seq(netlist: Netlist, roots: Iterable[int]) -> CompiledSeq:
 # ------------------------------------------------------ compiled-program cache
 
 _MAX_PROGRAMS = 16
-_programs: "OrderedDict[tuple[str, tuple[int, ...]], CompiledSeq]" = (
+_programs: "OrderedDict[tuple[str, tuple[int, ...], bool], CompiledSeq]" = (
     OrderedDict()
 )
 
 
 def cached_compile_seq(
-    netlist: Netlist, roots: Sequence[int]
+    netlist: Netlist, roots: Sequence[int], single_lane: bool = False
 ) -> CompiledSeq:
-    """`compile_seq` through the process-wide program cache (LRU)."""
-    key = (structural_hash(netlist), tuple(sorted(set(roots))))
+    """`compile_seq` through the process-wide program cache (LRU).
+
+    The single-lane flag is part of the key, so a multi-lane caller
+    (the packed engine) can never receive a single-lane program.
+    """
+    key = (structural_hash(netlist), tuple(sorted(set(roots))), single_lane)
     prog = _programs.get(key)
     if prog is not None:
         _programs.move_to_end(key)
         return prog
-    prog = compile_seq(netlist, roots)
+    prog = compile_seq(netlist, roots, single_lane)
     _programs[key] = prog
     while len(_programs) > _MAX_PROGRAMS:
         _programs.popitem(last=False)

@@ -172,7 +172,10 @@ class ObservePlan:
     def net_masks(
         self, netlist: Netlist, full_mask: int
     ) -> list[dict[int, int]] | None:
-        """Per entry, ``{net: observed-lane-mask}`` (differential form)."""
+        """Per entry, ``{net: observed-lane-mask}`` (differential form).
+
+        Equal entries share one dict object.
+        """
         if self.entries is None:
             return None
         return self._memo(  # type: ignore[return-value]
@@ -185,15 +188,25 @@ class ObservePlan:
         self, netlist: Netlist, full_mask: int
     ) -> list[dict[int, int]]:
         assert self.entries is not None
+        # Phase-A plans hold thousands of entries but at most a handful
+        # of distinct ones: expand each distinct entry once and share its
+        # dict, so equal entries are also the same object (the held-run
+        # segment pass compares entries by identity).
+        expanded: dict[Entry, dict[int, int]] = {}
         per_entry: list[dict[int, int]] = []
         for entry in self.entries:
-            nets: dict[int, int] = {}
-            for name, lane_mask in entry:
-                m = full_mask if lane_mask is None else lane_mask & full_mask
-                if not m:
-                    continue
-                for net in netlist.port(name).nets:
-                    nets[net] = nets.get(net, 0) | m
+            nets = expanded.get(entry)
+            if nets is None:
+                nets = expanded[entry] = {}
+                for name, lane_mask in entry:
+                    m = (
+                        full_mask if lane_mask is None
+                        else lane_mask & full_mask
+                    )
+                    if not m:
+                        continue
+                    for net in netlist.port(name).nets:
+                        nets[net] = nets.get(net, 0) | m
             per_entry.append(nets)
         return per_entry
 

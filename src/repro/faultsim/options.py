@@ -71,8 +71,9 @@ class GradeOptions:
     """Every knob :func:`repro.faultsim.grade` accepts, validated once.
 
     Attributes:
-        engine: ``"auto"`` (pick per netlist), ``"differential"`` or
-            ``"packed"`` (see :func:`repro.faultsim.engine.engine_names`).
+        engine: ``"auto"`` (pick per netlist and stimulus),
+            ``"differential"`` or ``"packed"`` (see
+            :func:`repro.faultsim.engine.engine_names`).
         observe: observability spec, any form accepted by
             :meth:`~repro.faultsim.observe.ObservePlan.from_spec`
             (``None`` = every output port, every entry).
@@ -157,9 +158,11 @@ class GradeOptions:
     def effective_engine(self) -> str:
         """The engine spec after folding in ``runtime.engine``.
 
-        Still ``"auto"`` when neither field names an engine — the final
-        per-netlist resolution happens in
-        :func:`repro.faultsim.engine.default_engine_name`.
+        Still ``"auto"`` when neither field names an engine.  The final
+        choice then happens per netlist and stimulus in
+        :func:`repro.faultsim.engine.default_engine_name`: packed for
+        deep combinational netlists and for sequential ones whose
+        stimulus is at least 90% held cycles, differential otherwise.
         """
         if self.engine != "auto":
             return self.engine

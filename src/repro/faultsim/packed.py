@@ -39,7 +39,11 @@ packed into lane 0 — the detection reference is read out of the word
 itself instead of the recorded trace.  Detected faults leave the live
 mask at once, and the batch is repacked onto fewer lanes when occupancy
 falls below ``repack_threshold`` (smaller words make every big-int op
-cheaper); an emptied batch exits the cycle walk early.
+cheaper); an emptied batch exits the cycle walk early.  A held cycle
+(same inputs as the cycle before) entered with the previous cycle's
+state in every lane repeats that cycle exactly, so the walk jumps to
+the end of its held run and only re-checks detection where the observe
+entry changes (:mod:`repro.faultsim.held`).
 
 Verdicts are bit-identical to the ``differential`` reference engine (the
 cross-engine equivalence suite and ``benchmarks/bench_packed.py`` gate
@@ -61,6 +65,7 @@ from repro.faultsim.engine import (
 )
 from repro.faultsim.faults import FaultKind, FaultList
 from repro.faultsim.harness import CampaignResult
+from repro.faultsim.held import held_cycles, segment_ends
 from repro.faultsim.lowering import CompiledSeq, cached_compile_seq
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import DEFAULT_LANES
@@ -128,6 +133,40 @@ def _output_nets(netlist: Netlist) -> tuple[int, ...]:
         if p.direction is PortDirection.OUTPUT
         for net in p.nets
     )
+
+
+def _observed(
+    values: Sequence[int], obs_nets: Sequence[int], mask: int, live: int
+) -> int:
+    """Live fault lanes whose value differs from lane 0 on an observed net.
+
+    Lane 0 carries the good value: its bit is replicated as the
+    reference instead of reading the recorded trace.
+    """
+    diff = 0
+    for net in obs_nets:
+        word = values[net]
+        diff |= (word ^ (mask if word & 1 else 0)) & live
+        if diff == live:
+            break
+    return diff
+
+
+def _convict(
+    diff: int,
+    cycle: int,
+    lane_reps: Sequence[int | None],
+    detections: dict[int, Detection],
+    detected: set[int],
+) -> None:
+    """Record a detection at ``cycle`` for every lane set in ``diff``."""
+    while diff:
+        bit = diff & -diff
+        diff ^= bit
+        rep = lane_reps[bit.bit_length() - 1]
+        assert rep is not None
+        detections[rep] = Detection(True, cycle, bit, excited=True)
+        detected.add(rep)
 
 
 def _repack_word(survivors: list[int]) -> Callable[[int], int]:
@@ -460,12 +499,20 @@ class PackedEngine:
         n_nets = netlist.n_nets
 
         all_obs = _output_nets(netlist)
-        if plan.observes_everything:
-            obs_per_cycle = None
-        else:
-            obs_per_cycle = [
-                tuple(nets) for nets in plan.net_masks(netlist, 1)
-            ]
+        obs_per_cycle: list[tuple[int, ...]] | None = None
+        net_masks = plan.net_masks(netlist, 1)
+        if net_masks is not None:
+            # Identical observe entries share one dict (and so one
+            # tuple), which the segment pass compares by identity.
+            as_tuple: dict[int, tuple[int, ...]] = {}
+            obs_per_cycle = []
+            for nets in net_masks:
+                nets_tuple = as_tuple.get(id(nets))
+                if nets_tuple is None:
+                    nets_tuple = as_tuple[id(nets)] = tuple(nets)
+                obs_per_cycle.append(nets_tuple)
+        held = held_cycles(cycles)
+        ends = segment_ends(held, obs_per_cycle)
         roots = set(all_obs if obs_per_cycle is None else
                     (n for nets in obs_per_cycle for n in nets))
         roots.update(d.d for d in dffs)
@@ -487,7 +534,7 @@ class PackedEngine:
             batch = reps[start : start + capacity]
             self._run_seq_batch(
                 batch, fault_list, cycles, dffs, n_nets, input_ports,
-                prog, netlist.gates, obs_per_cycle, all_obs,
+                prog, netlist.gates, obs_per_cycle, all_obs, held, ends,
                 detections, detected,
             )
         undetected = [r for r in reps if r not in detected]
@@ -509,6 +556,8 @@ class PackedEngine:
         gates: Sequence[Gate],
         obs_per_cycle: list[tuple[int, ...]] | None,
         all_obs: tuple[int, ...],
+        held: Sequence[bool],
+        ends: Sequence[int],
         detections: dict[int, Detection],
         detected: set[int],
     ) -> None:
@@ -519,6 +568,11 @@ class PackedEngine:
         detection reference is read out of the word (bit 0) instead of
         the recorded trace.  Every lane is one exact faulty machine, so
         first detecting cycles match the differential engine's.
+
+        ``held`` and ``ends`` are the stimulus' held flags and segment
+        ends (:mod:`repro.faultsim.held`): a held cycle entered with the
+        previous cycle's state repeats it, so the walk jumps to the
+        segment's end.
         """
         level_fns = prog.level_fns
         driven_at = prog.driven_at
@@ -562,8 +616,37 @@ class PackedEngine:
         state = [mask if d.init else 0 for d in dffs]
         live = mask & ~1  # lane 0 is the reference, never "detected"
         alive = n_lanes - 1
+        # The state entering the previous cycle, or None after a repack
+        # (the lane layout changed, so the states do not compare).
+        entering: list[int] | None = None
+        values: list[int] = []
 
-        for t, cycle in enumerate(cycles):
+        n_cycles = len(cycles)
+        t = 0
+        while t < n_cycles:
+            if held[t] and state == entering:
+                # Same inputs and same state as cycle t - 1 in every lane:
+                # the whole word repeats up to the next input change.  A
+                # new observe entry inside the run only re-checks
+                # detection on the cached values.
+                while True:
+                    if (
+                        obs_per_cycle is not None
+                        and obs_per_cycle[t] is not obs_per_cycle[t - 1]
+                    ):
+                        diff = _observed(values, obs_per_cycle[t], mask, live)
+                        if diff:
+                            _convict(diff, t, lane_reps, detections, detected)
+                            live &= ~diff
+                            alive = bin(live).count("1")
+                            if not live:
+                                return
+                    t = ends[t]
+                    if t == n_cycles or not held[t]:
+                        break
+                continue
+
+            cycle = cycles[t]
             values = [0] * n_nets
             values[CONST1] = mask
             for port_name, nets in input_ports:
@@ -595,24 +678,13 @@ class PackedEngine:
                     for net, (f_set, f_clear) in fixes.items():
                         values[net] = (values[net] & ~f_clear) | f_set
 
-            obs_nets = all_obs if obs_per_cycle is None else obs_per_cycle[t]
-            diff = 0
-            for net in obs_nets:
-                word = values[net]
-                # Lane 0 carries the good value: replicate its bit as
-                # the reference instead of reading the recorded trace.
-                diff |= (word ^ (mask if word & 1 else 0)) & live
-                if diff == live:
-                    break
+            diff = _observed(
+                values,
+                all_obs if obs_per_cycle is None else obs_per_cycle[t],
+                mask, live,
+            )
             if diff:
-                bits = diff
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    rep = lane_reps[bit.bit_length() - 1]
-                    assert rep is not None
-                    detections[rep] = Detection(True, t, bit, excited=True)
-                    detected.add(rep)
+                _convict(diff, t, lane_reps, detections, detected)
                 live &= ~diff
                 alive = bin(live).count("1")
                 if not live:
@@ -623,7 +695,9 @@ class PackedEngine:
                 new_state[dff_index] = (
                     (new_state[dff_index] & ~f_clear) | f_set
                 )
+            entering = state
             state = new_state
+            t += 1
 
             if (
                 alive <= (n_lanes - 1) * self.repack_threshold
@@ -634,6 +708,7 @@ class PackedEngine:
                 ]
                 repack = _repack_word(survivors)
                 state = [repack(w) for w in state]
+                entering = None
                 for fixes in net_fix.values():
                     for entry in fixes.values():
                         entry[0] = repack(entry[0])

@@ -14,14 +14,16 @@ Sequential circuits are stepped cycle by cycle.  In the multi-lane form
 (:meth:`LogicSimulator.run_parallel_sessions`, :meth:`LogicSimulator.step`)
 lanes are *independent parallel sessions* advancing in lockstep, used to
 fault-grade combinational components with hundreds of patterns at once.
-The single-lane cycle walk (:meth:`LogicSimulator.run_sequence`) fills
-input and flip-flop nets directly: a new cycle starts from a copy of the
-previous settled list and rewrites only the input bits and Q nets that
-changed.  It memoizes each settled cycle by its ``(DFF state, input
-vector)`` pair: in a zero-delay levelized model that pair determines
-every net value and the next state, so a repeated pair reuses the
-earlier cycle's value list and successor state instead of re-settling
-the netlist.
+The single-lane cycle walk (:meth:`LogicSimulator.run_sequence`) runs
+its own single-lane program (multiplexers branch on their select, see
+:func:`repro.faultsim.lowering.gate_expr`) over one working net list,
+rewriting only the input bits and Q nets that changed since that list
+was last settled.  It memoizes each settled cycle by its ``(DFF state,
+input vector)`` pair: in a zero-delay levelized model that pair
+determines every net value and the next state, so a repeated pair
+reuses the earlier cycle's row and successor state instead of
+re-settling the netlist.  Every net is 0 or 1, so a row is one
+``bytes`` object, one byte per net.
 """
 
 from __future__ import annotations
@@ -52,18 +54,22 @@ class GoodTrace:
 
     Attributes:
         lanes: lane configuration of the run.
-        values: per cycle, the full net-value array (index = net id).
+        values: per cycle, the full net-value row (index = net id).  A
+            single-lane trace (:meth:`LogicSimulator.run_sequence`) holds
+            ``bytes`` rows, one 0/1 byte per net; a multi-lane trace
+            holds lists of lane words.
         states: per cycle, the DFF state *entering* that cycle; has one
             extra final entry (the state after the last cycle).
 
     A trace is read-only.  Cycles that repeat a ``(state, inputs)`` pair
-    share one value list and one :class:`SimState` object, and cached
-    traces are shared by every engine, so no consumer may write into
-    ``values[t]`` or ``states[t].q``.
+    share one row object and one :class:`SimState` object (the
+    differential engine's held-run skip relies on that aliasing), and
+    cached traces are shared by every engine, so no consumer may write
+    into ``values[t]`` or ``states[t].q``.
     """
 
     lanes: LaneSet
-    values: list[list[int]]
+    values: list[bytes] | list[list[int]]
     states: list[SimState]
 
     @property
@@ -106,18 +112,23 @@ class LogicSimulator:
             if p.direction is PortDirection.OUTPUT
         }
         self._q_nets = tuple(d.q for d in netlist.dffs)
-        self._level_fns: tuple[_LevelFn, ...] | None = None
+        self._level_fns: dict[bool, tuple[_LevelFn, ...]] = {}
 
     # ---------------------------------------------------------- plumbing
 
-    def _settle_fns(self) -> tuple[_LevelFn, ...]:
-        """The generated per-level gate functions, compiled on first use."""
-        if self._level_fns is None:
+    def _settle_fns(self, single_lane: bool = False) -> tuple[_LevelFn, ...]:
+        """The generated per-level gate functions, compiled on first use.
+
+        ``single_lane`` programs are only valid for one-lane values.
+        """
+        fns = self._level_fns.get(single_lane)
+        if fns is None:
             prog = cached_compile_seq(
-                self.netlist, [g.output for g in self.netlist.gates]
+                self.netlist, [g.output for g in self.netlist.gates],
+                single_lane,
             )
-            self._level_fns = prog.level_fns[1:]
-        return self._level_fns
+            fns = self._level_fns[single_lane] = prog.level_fns[1:]
+        return fns
 
     def initial_state(self, lanes: LaneSet) -> SimState:
         """Reset state: every DFF holds its init value in every lane."""
@@ -237,18 +248,18 @@ class LogicSimulator:
         """Single-lane sequential run over a list of per-cycle input values.
 
         A cycle whose ``(DFF state, input vector)`` pair was already
-        settled reuses that cycle's value list and next state (see the
-        module doc); recorded traces alias those lists.
+        settled reuses that cycle's row and next state (see the module
+        doc); recorded traces alias those rows.
 
         Args:
             cycle_inputs: per cycle, ``{port: value}``.
             record: also return the full :class:`GoodTrace` (needed for
-                differential fault simulation).
+                differential fault simulation), with ``bytes`` rows.
 
         Returns:
             ``(per-cycle output values, trace-or-None)``.
         """
-        fns = self._settle_fns()
+        fns = self._settle_fns(single_lane=True)
         names = tuple(self._input_nets)
         in_nets = tuple(self._input_nets.values())
         q_nets = self._q_nets
@@ -262,40 +273,41 @@ class LogicSimulator:
         states = {state_key: state}
         seen: dict[
             tuple[bytes, tuple[int, ...]],
-            tuple[list[int], bytes, SimState, dict[str, int]],
+            tuple[bytes, bytes, SimState, dict[str, int]],
         ] = {}
-        # The previous cycle's settled list and the sources it was settled
-        # from; a miss copies it and rewrites only the sources that changed
-        # (every gate output is recomputed anyway).
-        prev = [0] * self.netlist.n_nets
-        prev[CONST1] = 1
+        # One working net list, settled in place on every miss.  It
+        # remembers the sources it was last settled from, so a miss
+        # rewrites only the sources that changed since (every gate
+        # output is recomputed anyway).
+        work = [0] * self.netlist.n_nets
+        work[CONST1] = 1
         for net, q in zip(q_nets, state.q, strict=True):
-            prev[net] = q
-        prev_key = (state_key, (0,) * len(names))
+            work[net] = q
+        work_key = (state_key, (0,) * len(names))
         outputs: list[dict[str, int]] = []
-        trace_values: list[list[int]] = []
+        trace_values: list[bytes] = []
         trace_states: list[SimState] = [state]
         for cycle in cycle_inputs:
             vector = tuple(cycle.get(name, 0) for name in names)
             key = (state_key, vector)
             hit = seen.get(key)
             if hit is None:
-                values = prev.copy()
                 for nets, word, old in zip(
-                    in_nets, vector, prev_key[1], strict=True
+                    in_nets, vector, work_key[1], strict=True
                 ):
-                    _write_bits(values, nets, word, word ^ old)
+                    _write_bits(work, nets, word, word ^ old)
                 changed = int.from_bytes(state_key, "little") ^ int.from_bytes(
-                    prev_key[0], "little"
+                    work_key[0], "little"
                 )
                 while changed:
                     low = changed & -changed
                     i = (low.bit_length() - 1) >> 3
-                    values[q_nets[i]] = state_key[i]
+                    work[q_nets[i]] = state_key[i]
                     changed ^= low
                 for fn in fns:
-                    fn(values, 1)
-                next_key = bytes(map(values.__getitem__, d_nets))
+                    fn(work, 1)
+                work_key = key
+                next_key = bytes(map(work.__getitem__, d_nets))
                 next_state = states.get(next_key)
                 if next_state is None:
                     next_state = states[next_key] = SimState(list(next_key))
@@ -303,15 +315,14 @@ class LogicSimulator:
                 for name, nets in out_nets:
                     word = 0
                     for j, net in enumerate(nets):
-                        if values[net]:
+                        if work[net]:
                             word |= 1 << j
                     out[name] = word
-                hit = seen[key] = (values, next_key, next_state, out)
-            values, state_key, state, out = hit
-            prev, prev_key = values, key
+                hit = seen[key] = (bytes(work), next_key, next_state, out)
+            row, state_key, state, out = hit
             outputs.append(dict(out))
             if record:
-                trace_values.append(values)
+                trace_values.append(row)
                 trace_states.append(state)
         trace = GoodTrace(lanes, trace_values, trace_states) if record else None
         return outputs, trace

@@ -329,20 +329,27 @@ class TraceStore:
 # pattern) store each net's lane word as hex.  Sequence traces (one lane,
 # one entry per cycle) transpose instead: each cycle's n_nets single-bit
 # values pack into one big hex word, which keeps multi-thousand-cycle
-# records within a few megabytes.
+# records within a few megabytes.  Loading turns each distinct word back
+# into one shared ``bytes`` row, so a loaded trace aliases repeated
+# cycles exactly like a freshly simulated one.
+
+#: 0/1 net bytes <-> the ASCII binary digits of one cycle's word.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _trace_to_doc(trace: GoodTrace) -> dict:
     count = trace.lanes.count
     states = [[format(q, "x") for q in s.q] for s in trace.states]
     if count == 1:
+        words: dict[int, str] = {}  # row identity -> hex word
         cycles = []
         for values in trace.values:
-            word = 0
-            for i, v in enumerate(values):
-                if v:
-                    word |= 1 << i
-            cycles.append(format(word, "x"))
+            word = words.get(id(values))
+            if word is None:
+                digits = bytes(values).translate(_TO_DIGITS)[::-1]
+                word = words[id(values)] = format(int(digits or b"0", 2), "x")
+            cycles.append(word)
         return {
             "mode": "sequence",
             "count": 1,
@@ -364,21 +371,26 @@ def _trace_to_doc(trace: GoodTrace) -> dict:
 def _trace_from_doc(doc: dict) -> GoodTrace:
     count = int(doc["count"])
     lanes = LaneSet(count)
-    states = [
-        SimState([int(h, 16) for h in qs]) for qs in doc["states"]
-    ]
+    by_words: dict[tuple[str, ...], SimState] = {}
+    states = []
+    for qs in doc["states"]:
+        key = tuple(qs)
+        state = by_words.get(key)
+        if state is None:
+            state = by_words[key] = SimState([int(h, 16) for h in qs])
+        states.append(state)
     n_nets = int(doc["n_nets"])
     if doc["mode"] == "sequence":
+        rows: dict[str, bytes] = {}
         values = []
         for h in doc["cycles"]:
-            word = int(h, 16)
-            if word:
-                # '0'/'1' have even/odd codepoints, so `byte & 1` maps
-                # the binary digits straight to net values.
-                bits = format(word, f"0{n_nets}b")[::-1].encode()
-                values.append([b & 1 for b in bits[:n_nets]])
-            else:
-                values.append([0] * n_nets)
+            row = rows.get(h)
+            if row is None:
+                digits = format(int(h, 16), f"0{n_nets}b")[::-1]
+                row = rows[h] = digits.encode()[:n_nets].translate(
+                    _FROM_DIGITS
+                )
+            values.append(row)
         return GoodTrace(lanes, values, states)
     if doc["mode"] != "packed":
         raise ValueError(f"unknown trace mode {doc['mode']!r}")

@@ -3,7 +3,11 @@
 Grades GL, PLN and PCL in phase A with the CLI's default options and
 compares each component's verdict fingerprint (detected set, excitation
 flags and first detecting cycles) with the full reference campaign in
-``perfbench/golden.json``.  Both perfbench files are only read.
+``perfbench/golden.json``.  All ten components are also graded on the
+benchmark's sample (``golden.sample_members``: whole dominance trees of
+every 40th root) and compared with the ``A_sample`` fingerprints, so
+every engine and good-machine path the default options pick runs on
+real stimulus.  Both perfbench files are only read.
 """
 
 import importlib.util
@@ -11,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.campaign import run_campaign
+from repro.analysis.collapse import compute_collapse
+from repro.core.campaign import execute_self_test, run_campaign
+from repro.core.methodology import SelfTestMethodology
+from repro.faultsim.engine import grade
+from repro.faultsim.faults import build_fault_list
 from repro.faultsim.options import GradeOptions
+from repro.plasma.components import COMPONENTS as ALL_COMPONENTS
 
 PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench"
 COMPONENTS = ["GL", "PLN", "PCL"]
@@ -40,3 +49,24 @@ def test_fingerprint_matches_reference_campaign(outcome, name):
     golden = _golden_module()
     expected = golden.load_golden()["A"]["components"][name]
     assert golden.fingerprint(outcome.results[name]) == expected
+
+
+@pytest.fixture(scope="module")
+def phase_a_specs():
+    self_test = SelfTestMethodology().build_program("A")
+    _, tracer, _ = execute_self_test(self_test)
+    return tracer.finalize()
+
+
+@pytest.mark.parametrize("info", ALL_COMPONENTS, ids=lambda c: c.name)
+def test_sample_fingerprint_matches_reference(phase_a_specs, info):
+    golden = _golden_module()
+    netlist = info.builder()
+    cmap = compute_collapse(netlist, build_fault_list(netlist))
+    members = golden.sample_members(cmap)
+    stimulus, observe = phase_a_specs[info.name]
+    result = grade(netlist, stimulus, options=GradeOptions(
+        collapse=cmap, observe=observe, name=info.name, subset=members,
+    ))
+    expected = golden.load_golden()["A_sample"]["components"][info.name]
+    assert golden.fingerprint(result, members) == expected

@@ -18,10 +18,13 @@ from repro.errors import FaultSimError
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.faultsim.engine import (
     AUTO_MIN_DEPTH,
+    AUTO_MIN_HELD_SHARE,
     default_engine_name,
     engine_names,
     get_engine,
+    resolve_engine,
 )
+from repro.faultsim.held import held_share
 from repro.faultsim.lowering import clear_program_cache
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.packed import PackedEngine
@@ -246,6 +249,31 @@ class TestFacade:
     def test_auto_picks_packed_for_deep_combinational(self):
         assert default_engine_name(build_component("ALU")) == "packed"
         assert depth(build_component("ALU")) >= AUTO_MIN_DEPTH
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("MulD", "packed"),
+            ("RegF", "differential"),
+            ("PCL", "differential"),
+            ("MCTRL", "differential"),
+            ("GL", "differential"),
+            ("PLN", "differential"),
+        ],
+    )
+    def test_auto_reads_the_sequential_held_share(
+        self, phase_a_specs, name, expected
+    ):
+        stimulus, _ = phase_a_specs[name]
+        netlist = build_component(name)
+        assert netlist.dffs
+        share = held_share(stimulus)
+        assert (share >= AUTO_MIN_HELD_SHARE) == (expected == "packed")
+        assert default_engine_name(netlist, stimulus) == expected
+        options = GradeOptions()
+        assert resolve_engine(netlist, options, stimulus).name == expected
+        # Without a stimulus, sequential netlists stay differential.
+        assert default_engine_name(netlist) == "differential"
 
     def test_runtime_engine_honoured_only_under_auto(self):
         netlist = adder4()

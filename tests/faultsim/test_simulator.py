@@ -254,7 +254,7 @@ class TestCompiledKernel:
         )
         values, states, expected_outputs = _naive_run(netlist, cycles)
         assert trace is not None
-        assert trace.values == values
+        assert [list(row) for row in trace.values] == values
         assert [s.q for s in trace.states] == states
         assert outputs == expected_outputs
 
@@ -273,7 +273,7 @@ class TestCompiledKernel:
             for t in range(len(session)):
                 assert [
                     (w >> lane) & 1 for w in packed.values[t]
-                ] == single.values[t]
+                ] == list(single.values[t])
             assert [
                 [(q >> lane) & 1 for q in s.q] for s in packed.states
             ] == [s.q for s in single.states]

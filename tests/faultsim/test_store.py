@@ -23,6 +23,7 @@ from repro.faultsim.store import (
     result_from_payload,
     verdicts_payload,
 )
+from repro.faultsim.simulator import LogicSimulator
 from repro.library import build_alu, build_register_file
 
 
@@ -144,6 +145,31 @@ class TestCorruption:
         regraded = grade(netlist, stimulus, options=GradeOptions(cache=store))
         assert not regraded.cache_hit
         _assert_same_verdicts(cold, regraded)
+
+    def test_sequence_trace_round_trip_keeps_byte_rows_and_aliasing(
+        self, tmp_path
+    ):
+        netlist = build_register_file(n_registers=4, width=4)
+        # Held runs: repeated (state, inputs) pairs share one row.
+        cycles = [c for c in _regfile_cycles(8) for _ in range(3)]
+        _, trace = LogicSimulator(netlist).run_sequence(cycles, record=True)
+        assert trace is not None
+        store = TraceStore(tmp_path)
+        store.save_trace("seq", trace)
+        loaded = store.load_trace("seq")
+        assert loaded is not None
+        assert all(type(row) is bytes for row in loaded.values)
+        assert loaded.values == trace.values
+        assert [s.q for s in loaded.states] == [s.q for s in trace.states]
+
+        def aliasing(values):
+            return [values[t] is values[t - 1] for t in range(1, len(values))]
+
+        assert any(aliasing(trace.values))
+        assert aliasing(loaded.values) == aliasing(trace.values)
+        assert len({id(r) for r in loaded.values}) == len(
+            {id(r) for r in trace.values}
+        )
 
     def test_garbage_payload_is_a_miss(self, tmp_path):
         store = TraceStore(tmp_path)

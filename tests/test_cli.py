@@ -373,7 +373,9 @@ class TestEngineSelection:
 
         def normalized(text):
             # The per-component progress line carries a wall-clock
-            # duration; everything else must be engine-invariant.
+            # duration and names the engine; everything else must be
+            # engine-invariant.
+            text = re.sub(r", engine \w+", "", text)
             return re.sub(r"\d+\.\d+s", "_s", text)
 
         assert main(["campaign", "--phases", "A", "--components", "CTRL",
@@ -382,6 +384,8 @@ class TestEngineSelection:
         assert main(["campaign", "--phases", "A", "--components", "CTRL",
                      "--engine", "packed"]) == 0
         packed = capsys.readouterr().out
+        assert ", engine differential," in differential
+        assert ", engine packed," in packed
         # Table 5 must be bit-identical whichever engine graded it.
         assert normalized(differential) == normalized(packed)
 
