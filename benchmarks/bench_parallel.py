@@ -40,6 +40,7 @@ import time
 from repro.core.campaign import execute_self_test, grade_traced
 from repro.core.methodology import SelfTestMethodology
 from repro.reporting.tables import render_table5
+from repro.runtime import RuntimeConfig
 
 #: Deep combinational cones: the heaviest per-fault work, and the same
 #: components the engine bench (E1) gates on.
@@ -95,7 +96,8 @@ def run_bench(quick: bool) -> tuple[str, dict, list[str]]:
     for jobs in job_counts:
         started = time.perf_counter()
         outcomes[jobs] = grade_traced(
-            self_test, cpu_result, specs, components=components, jobs=jobs,
+            self_test, cpu_result, specs, components=components,
+            runtime=RuntimeConfig(jobs=jobs) if jobs > 1 else None,
         )
         seconds[jobs] = time.perf_counter() - started
 

@@ -31,6 +31,7 @@ from repro.core.campaign import run_campaign
 from repro.core.methodology import SelfTestMethodology
 from repro.errors import ReproError, WatchdogTimeout
 from repro.faultsim.engine import engine_names
+from repro.faultsim.options import DEFAULT_LANES, GradeOptions
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble_program
 from repro.plasma.cpu import PlasmaCPU
@@ -113,13 +114,30 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         from repro.core.campaign import grade_program
 
         print(f"== grading phases {args.phases} (engine: {args.engine}) ==")
-        outcome = grade_program(self_test, verbose=True, engine=args.engine)
+        outcome = grade_program(
+            self_test, verbose=True, options=_grade_options(args)
+        )
         summary = outcome.summary
         print(
             f"overall FC {summary.overall_coverage:.2f}% "
             f"({summary.total_detected}/{summary.total_faults} faults)"
         )
     return 0
+
+
+def _grade_options(args: argparse.Namespace) -> GradeOptions:
+    """The grading options of ``campaign`` and ``selftest --coverage``.
+
+    ``selftest`` has no flags for the knobs past ``--engine``; its parser
+    defaults them to the campaign's defaults (collapse on).
+    """
+    return GradeOptions(
+        engine=args.engine,
+        prune_untestable="proven" if args.prune_untestable else False,
+        collapse=args.collapse,
+        cache=args.cache_dir,
+        lanes=args.lanes if args.lanes is not None else DEFAULT_LANES,
+    )
 
 
 def _campaign_runtime(args: argparse.Namespace) -> RuntimeConfig | None:
@@ -147,30 +165,21 @@ def _campaign_runtime(args: argparse.Namespace) -> RuntimeConfig | None:
         checkpoint_dir=args.checkpoint,
         resume=args.resume,
         isolate=not args.no_isolate,
-        engine=args.engine,
         jobs=args.jobs,
     )
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.faultsim.options import DEFAULT_LANES, GradeOptions
-
     components = args.components.split(",") if args.components else None
     runtime = _campaign_runtime(args)
-    options = GradeOptions(
-        engine=args.engine,
-        prune_untestable="proven" if args.prune_untestable else False,
-        collapse=args.collapse,
-        cache=args.cache_dir,
-        lanes=args.lanes if args.lanes is not None else DEFAULT_LANES,
-    )
+    options = _grade_options(args)
     outcomes = {}
     degraded: list[str] = []
     for phases in args.phases.split(","):
         print(f"== campaign: phases {phases} ==")
         outcomes[phases] = run_campaign(
             phases, components=components, verbose=True, runtime=runtime,
-            jobs=args.jobs, options=options,
+            options=options,
         )
         if args.cache_dir is not None:
             outcome = outcomes[phases]
@@ -505,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "print per-component coverage")
     p_st.add_argument("--engine", choices=engine_choices, default="auto",
                       help="fault-sim engine for --coverage (default auto)")
-    p_st.set_defaults(func=_cmd_selftest)
+    # --coverage grades with the campaign's default options.
+    p_st.set_defaults(func=_cmd_selftest, prune_untestable=False,
+                      collapse=True, cache_dir=None, lanes=None)
 
     p_c = sub.add_parser("campaign", help="run the fault-grading campaign")
     p_c.add_argument("--phases", default="A",
@@ -513,15 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--components",
                      help="comma-separated subset (e.g. ALU,BSH)")
     p_c.add_argument("--checkpoint", metavar="DIR",
-                     help="journal completed components to DIR "
+                     help="journal completed shards to DIR "
                           "(crash-safe JSONL + event log)")
     p_c.add_argument("--resume", action="store_true",
                      help="reuse journaled results from --checkpoint DIR")
     p_c.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                     help="wall-clock budget per component grading attempt")
+                     help="wall-clock budget per shard attempt (one shard "
+                          "per component at --jobs 1)")
     p_c.add_argument("--retries", type=int, default=3, metavar="N",
-                     help="attempts per component before degrading "
-                          "(default 3)")
+                     help="attempts per shard (one shard per component at "
+                          "--jobs 1) before degrading (default 3)")
     p_c.add_argument("--isolate", action="store_true",
                      help="force the resilient runner (worker-process "
                           "isolation) even without --checkpoint/--timeout")

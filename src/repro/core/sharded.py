@@ -1,31 +1,36 @@
-"""Sharded (parallel) fault-grading: worker-side jobs and the merge.
+"""Sharded fault-grading: the shard job and the merge.
 
-The parallel campaign path (``run_campaign(..., jobs=N)``) splits every
-component's collapsed fault universe into contiguous shards
-(:func:`repro.runtime.sharding.plan_shards`) and fans them out over the
-persistent worker pool (:mod:`repro.runtime.pool`).  This module holds
-the three pieces the split needs:
+Every campaign grades through this module: ``grade_traced`` splits each
+component's fault universe into contiguous shards
+(:func:`repro.runtime.sharding.plan_shards`; one shard per component at
+``jobs=1``), runs them in process or over the persistent worker pool
+(:mod:`repro.runtime.pool`) and merges the verdicts.  The pieces:
 
-* a **campaign context** installed in every pool worker — the traced
-  per-component stimulus/observability, the netlist transform and the
-  engine choice.  Under the preferred ``fork`` start method the context
-  is inherited by memory, so multi-megabyte traces are never pickled;
-  under ``spawn`` the pool initializer ships it (then the transform must
-  be picklable, mirroring :mod:`repro.runtime.worker`).
-* the **worker-side shard job** (:func:`grade_shard`) with a
-  process-local component cache: the first shard of a component builds
-  its netlist, fault list, observe plan and (via the engine) the good
-  trace and compiled program **once per worker**; every later shard of
-  that component reuses them and only pays for its own faults.
+* a **campaign context** — the traced per-component
+  stimulus/observability, the netlist transform and the grading options —
+  installed in the thread that grades shards: the campaign's own thread
+  in process, every pool worker otherwise.  Forked workers inherit it by
+  memory, so multi-megabyte traces are never pickled; under ``spawn`` the
+  pool initializer ships it (then the transform must be picklable,
+  mirroring :mod:`repro.runtime.worker`).
+* the **shard job** (:func:`grade_shard`) with a component cache held by
+  the context: the first shard of a component builds its netlist, fault
+  list, observe plan, engine and prune sets **once per process**; every
+  later shard of that component reuses them and only pays for its own
+  faults.  A worker keeps one component at a time.  In process the
+  campaign seeds the cache with the objects its planner already built
+  (:func:`seed_component`) and releases them once the component is
+  merged.
 * the **deterministic merge** (:func:`merge_shard_results`): shard
   verdicts are per-fault properties, so the merged
   :class:`~repro.faultsim.harness.CampaignResult` is the plain union of
   the shard verdict sets, independent of completion order, and
-  bit-identical to a sequential grade (DESIGN.md §11).
+  bit-identical to a single-shard grade (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
@@ -53,7 +58,7 @@ if TYPE_CHECKING:
 
 @dataclass
 class ShardContext:
-    """Everything a pool worker needs to grade any shard of the campaign.
+    """Everything a grading thread needs to grade any shard of the campaign.
 
     Attributes:
         stimulus: per component name, the traced input patterns/cycles.
@@ -66,12 +71,27 @@ class ShardContext:
             shards slice the super-class simulation order instead of
             the base class list; verdicts expand to every member, so
             the merge and coverage are unchanged.
+        components: the per-process grading state, by component name.
+        seeds: objects a planner in this process already built, by
+            component name, until a shard needs them (see
+            :func:`seed_component`).
     """
 
     stimulus: Mapping[str, Stimulus]
     observe: Mapping[str, ObserveSpec]
     netlist_transform: Callable[[Netlist], Netlist] | None = None
     options: GradeOptions = field(default_factory=GradeOptions)
+    components: dict[str, _ComponentState] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    seeds: dict[str, _Seed] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def release(self, name: str) -> None:
+        """Drop ``name``'s seed and grading state."""
+        self.seeds.pop(name, None)
+        self.components.pop(name, None)
 
 
 @dataclass
@@ -79,8 +99,8 @@ class ShardVerdict:
     """What one graded shard sends back to the scheduler.
 
     ``detections`` carries the full per-fault records for a live run;
-    a shard resumed from the journal only restores ``detected`` (same
-    contract as component-level resume — coverage is unaffected).
+    a shard resumed from the journal only restores ``detected``
+    (coverage is unaffected).
     """
 
     component: str
@@ -97,80 +117,113 @@ class ShardVerdict:
     collapse_hash: str = ""
 
 
-#: Campaign context of the in-flight parallel run.  The parent installs
-#: it before starting the pool so forked workers inherit it; the pool
-#: initializer re-installs it for spawn-started workers.
-_CONTEXT: ShardContext | None = None
-
-#: Build-once per-worker grading state for one component: ``cmap`` is
-#: the collapse map (or None) and ``universe`` is what shard bounds
-#: index — base class representatives uncollapsed, super-class keys
-#: collapsed.
+#: Build-once grading state for one component: ``cmap`` is the collapse
+#: map (or None) and ``universe`` is what shard bounds index — base class
+#: representatives uncollapsed, super-class keys collapsed.
 _ComponentState = tuple[
     Netlist, FaultList, ObservePlan, FaultSimEngine,
     frozenset[int], frozenset[int], Stimulus,
     "CollapseMap | None", "list[int]",
 ]
 
-#: Per-process component cache, keyed by component name.
-_STATE: dict[str, _ComponentState] = {}
+#: A planner's built objects for one component: netlist, fault list,
+#: collapse map, and optionally the engine and observe plan.
+_Seed = tuple[
+    Netlist, FaultList, "CollapseMap | None",
+    "FaultSimEngine | None", "ObservePlan | None",
+]
+
+#: The context of the campaign grading in this thread.  Thread-local, so
+#: campaigns graded in process by different threads (the campaign
+#: service's executors) never share a component cache.
+_ACTIVE = threading.local()
 
 
-def install_shard_context(context: ShardContext) -> None:
-    """Install the campaign context (parent pre-fork + pool initializer).
+def install_shard_context(context: ShardContext | None) -> None:
+    """Install the campaign context in this thread (``None`` removes it).
 
-    Also activates the campaign's persistent store (if any) so workers
-    read shared good traces instead of re-simulating them.
+    Runs in the campaign's thread and as the pool initializer.  Also
+    activates the campaign's persistent store (if any) so shards read
+    shared good traces instead of re-simulating them.
     """
-    global _CONTEXT
-    _CONTEXT = context
-    _STATE.clear()
-    set_active_store(context.options.store)
+    _ACTIVE.context = context
+    if context is not None:
+        set_active_store(context.options.store)
 
 
 def _component_state(name: str) -> _ComponentState:
-    """Build-once per-worker grading state for one component."""
-    state = _STATE.get(name)
-    if state is not None:
-        return state
-    context = _CONTEXT
+    """Build-once grading state for one component, from the context."""
+    context: ShardContext | None = getattr(_ACTIVE, "context", None)
     if context is None:
         raise RuntimeError(
-            "no shard context installed in this worker "
+            "no shard context installed in this thread "
             "(install_shard_context must run before grade_shard)"
         )
-    info = component(name)
-    netlist = info.builder()
-    if context.netlist_transform is not None:
-        netlist = context.netlist_transform(netlist)
-    fault_list = build_fault_list(netlist)
-    reps = fault_list.class_representatives()
-    stimulus = context.stimulus[name]
-    plan = ObservePlan.from_spec(
-        context.observe[name], len(stimulus), netlist
-    )
-    opts = context.options
-    engine = resolve_engine(netlist, opts, stimulus)
-    skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
-    cmap = None
-    universe = reps
-    if opts.collapse_requested:
-        # Local import mirrors grade(): repro.analysis.collapse imports
-        # the fault model, so the load-time dependency stays one-way.
-        from repro.analysis.collapse import compute_collapse
+    state = context.components.get(name)
+    if state is not None:
+        return state
+    # The scheduler's queue hands out shards in plan order, component by
+    # component, so a worker keeps only the latest component's state.
+    context.components.clear()
+    seed = context.seeds.pop(name, None)
+    if seed is None:
+        netlist = component(name).builder()
+        if context.netlist_transform is not None:
+            netlist = context.netlist_transform(netlist)
+        fault_list = build_fault_list(netlist)
+        cmap = None
+        if context.options.collapse_requested:
+            # Local import mirrors grade(): repro.analysis.collapse
+            # imports the fault model, so the load-time dependency stays
+            # one-way.
+            from repro.analysis.collapse import compute_collapse
 
-        cmap = compute_collapse(netlist, fault_list)
-        universe = cmap.simulation_order()
+            cmap = compute_collapse(netlist, fault_list)
+        seed = (netlist, fault_list, cmap, None, None)
+    netlist, fault_list, cmap, engine, plan = seed
+    stimulus = context.stimulus[name]
+    if plan is None:
+        plan = ObservePlan.from_spec(
+            context.observe[name], len(stimulus), netlist
+        )
+    opts = context.options
+    if engine is None:
+        engine = resolve_engine(netlist, opts, stimulus)
+    skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
+    universe = (
+        cmap.simulation_order() if cmap is not None
+        else fault_list.class_representatives()
+    )
     state = (
         netlist, fault_list, plan, engine, skip, proven, stimulus,
         cmap, universe,
     )
-    _STATE[name] = state
+    context.components[name] = state
     return state
 
 
+def seed_component(
+    context: ShardContext,
+    name: str,
+    netlist: Netlist,
+    fault_list: FaultList,
+    cmap: CollapseMap | None,
+    engine: FaultSimEngine | None = None,
+    plan: ObservePlan | None = None,
+) -> None:
+    """Let ``name``'s shards in this process reuse a planner's objects.
+
+    The in-process campaign passes its planner's netlist, fault list,
+    collapse map, engine and (with a store) observe plan, so grading
+    builds none of them a second time.  The rest of the grading state
+    is built when the first shard runs, so a component whose shards all
+    come from the journal costs nothing more.
+    """
+    context.seeds[name] = (netlist, fault_list, cmap, engine, plan)
+
+
 def grade_shard(name: str, lo: int, hi: int) -> ShardVerdict:
-    """Grade universe slice ``[lo:hi]`` of one component (worker-side).
+    """Grade universe slice ``[lo:hi]`` of one component.
 
     Uncollapsed, the slice indexes base class representatives in
     canonical fault order; collapsed, it indexes

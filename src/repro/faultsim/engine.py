@@ -47,11 +47,7 @@ from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import GradeOptions, resolve_prune_mode
 from repro.faultsim.simulator import GoodTrace
-from repro.faultsim.store import (
-    result_from_payload,
-    verdict_key_for,
-    verdicts_payload,
-)
+from repro.faultsim.store import verdict_key_for, verdicts_payload
 from repro.faultsim.trace_cache import good_trace_for, set_active_store
 from repro.netlist.levelize import depth
 from repro.netlist.netlist import Netlist
@@ -280,12 +276,12 @@ def resolve_engine(
 ) -> FaultSimEngine:
     """The engine ``options`` select for ``netlist``, ready to grade.
 
-    Folds ``runtime.engine`` in, resolves ``"auto"`` per netlist and
-    stimulus (:func:`default_engine_name`) and hands the packed engine
-    its lane count.  :func:`grade`, the shard workers and the campaign's
-    shard planner all build their engine here.
+    Resolves ``"auto"`` per netlist and stimulus
+    (:func:`default_engine_name`) and hands the packed engine its lane
+    count.  :func:`grade`, the campaign's shard planner and the shard
+    workers build their engine here.
     """
-    name = options.effective_engine()
+    name = options.engine
     if name == "auto":
         name = default_engine_name(netlist, stimulus)
     if name == "packed":
@@ -494,15 +490,9 @@ def grade(
                 prune_mode=mode,
                 collapse_hash=cmap.collapse_hash if cmap is not None else "",
             )
-            payload = store.load_verdicts(store_key)
-            if payload is not None:
-                try:
-                    if int(payload["n_classes"]) == fault_list.n_collapsed:  # type: ignore[arg-type]
-                        return result_from_payload(
-                            payload, label, fault_list
-                        )
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed record: fall through and re-grade
+            cached = store.replay_verdicts(store_key, label, fault_list)
+            if cached is not None:
+                return cached
 
         skip, proven = prune_sets(netlist, fault_list, mode)
         if cmap is not None:

@@ -1,20 +1,21 @@
 """One validated options object for every grading entry point.
 
 :func:`repro.faultsim.grade` historically grew one keyword per feature —
-``engine``, ``observe``, ``runtime``, ``prune_untestable``, ``subset``,
-``collapse`` — and every campaign layer (component jobs, the sharded
-scheduler, the CLI) re-declared the same parameters and threaded them
-down individually.  :class:`GradeOptions` collapses that surface into a
-single frozen dataclass:
+``engine``, ``observe``, ``prune_untestable``, ``subset``, ``collapse`` —
+and every campaign layer (component jobs, the sharded scheduler, the CLI)
+re-declared the same parameters and threaded them down individually.
+:class:`GradeOptions` collapses that surface into a single frozen
+dataclass (execution knobs — isolation, timeouts, ``jobs`` — live on
+:class:`~repro.runtime.RuntimeConfig` instead):
 
 * **validated construction** — engine names, prune modes, lane counts
   and subsets are checked once, in ``__post_init__``, instead of deep
   inside an engine after minutes of simulation;
 * **one object end to end** — ``run_campaign`` → ``grade_traced`` →
-  ``grade_component`` → ``grade`` all share the same instance (component
-  specific fields like ``name``/``observe`` are stamped on via
-  :meth:`replace`), and the sharded scheduler ships it to pool workers
-  as-is;
+  the shard planner and :func:`~repro.core.sharded.grade_shard` all share
+  the same instance, and the sharded scheduler ships it to pool workers
+  as-is (:func:`~repro.core.campaign.grade_component` stamps the
+  component's ``name``/``observe`` on via :meth:`replace`);
 * **a checkpoint fingerprint** — :meth:`fingerprint` digests exactly the
   verdict-shaping knobs, so journal reuse rules live in one place.
 """
@@ -95,8 +96,6 @@ class GradeOptions:
         lanes: lane-group count for the ``packed`` engine (good machine
             in group 0, up to ``lanes - 1`` fault classes per word).
             The differential engine ignores it.
-        runtime: optional :class:`~repro.runtime.RuntimeConfig`; its
-            ``engine`` field is honoured while ``engine`` is ``"auto"``.
     """
 
     engine: str = "auto"
@@ -107,7 +106,6 @@ class GradeOptions:
     collapse: "bool | CollapseMap" = False
     cache: TraceStore | str | Path | None = None
     lanes: int = DEFAULT_LANES
-    runtime: object | None = None
 
     def __post_init__(self) -> None:
         # Local import: the engine module imports this module at load
@@ -154,23 +152,6 @@ class GradeOptions:
     def collapse_requested(self) -> bool:
         """True when grading should run through a collapse map."""
         return self.collapse is not False
-
-    def effective_engine(self) -> str:
-        """The engine spec after folding in ``runtime.engine``.
-
-        Still ``"auto"`` when neither field names an engine.  The final
-        choice then happens per netlist and stimulus in
-        :func:`repro.faultsim.engine.default_engine_name`: packed for
-        deep combinational netlists and for sequential ones whose
-        stimulus is at least 90% held cycles, differential otherwise.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.runtime is not None:
-            spec = getattr(self.runtime, "engine", "auto")
-            if isinstance(spec, str) and spec:
-                return spec
-        return "auto"
 
     def replace(self, **changes: Any) -> "GradeOptions":
         """A copy with ``changes`` applied (re-validated)."""

@@ -190,6 +190,24 @@ class TraceStore:
         self.stats.verdict_hits += 1
         return doc
 
+    def replay_verdicts(
+        self, key: str, name: str, fault_list: "FaultList"
+    ) -> "CampaignResult | None":
+        """The stored result for ``key`` over ``fault_list``, or ``None``.
+
+        A record for another universe size, or a malformed one, is a
+        miss too: the caller re-grades.
+        """
+        payload = self.load_verdicts(key)
+        if payload is None:
+            return None
+        try:
+            if int(payload["n_classes"]) != fault_list.n_collapsed:
+                return None
+            return result_from_payload(payload, name, fault_list)
+        except (KeyError, TypeError, ValueError):
+            return None
+
     def save_verdicts(self, key: str, payload: Mapping[str, object]) -> bool:
         """Persist one component verdict payload."""
         return self._save(_VERDICTS, key, dict(payload))

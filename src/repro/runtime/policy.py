@@ -58,20 +58,19 @@ class RuntimeConfig:
             the event log); None disables checkpointing.
         resume: reuse journaled results from ``checkpoint_dir`` instead
             of starting the journal afresh.
-        isolate: run each job in its own worker process.
+        isolate: run jobs in worker processes (one per job under
+            :class:`~repro.runtime.runner.JobRunner`, a persistent pool
+            under :class:`~repro.runtime.pool.ShardScheduler`);
+            ``False`` runs them in the calling process.
         sleep: injectable sleep function (tests replace it to avoid
             real backoff waits).
-        engine: fault-sim engine used by campaign jobs — ``"auto"`` or one
-            of :func:`repro.faultsim.engine.engine_names`.  Validated
-            lazily by the facade so this module stays independent of the
-            fault simulator.
-        jobs: worker-process count for the sharded parallel scheduler.
-            ``1`` (the default) keeps the historical behaviour: grading
-            jobs run one component at a time.  ``jobs > 1`` shards each
-            component's fault universe over a persistent worker pool
-            (see :mod:`repro.runtime.pool`); merged results are
-            bit-identical to a sequential run.  With a timeout, the
-            budget applies per *shard* attempt rather than per component.
+        jobs: worker-process count for the sharded scheduler.  ``1``
+            (the default) grades one shard per component, one component
+            at a time.  ``jobs > 1`` shards each component's fault
+            universe over a persistent worker pool (see
+            :mod:`repro.runtime.pool`); merged results are bit-identical
+            to ``jobs=1``.  A timeout applies per shard attempt, which
+            at ``jobs=1`` is per component.
         cancel: cooperative cancellation hook — a zero-argument callable
             polled by :class:`~repro.runtime.runner.JobRunner` before
             every job attempt and by
@@ -96,7 +95,6 @@ class RuntimeConfig:
     resume: bool = False
     isolate: bool = True
     sleep: Callable[[float], None] = time.sleep
-    engine: str = "auto"
     jobs: int = 1
     cancel: Callable[[], bool] | None = None
     events: EventLog | None = None
@@ -108,10 +106,9 @@ class RuntimeConfig:
     def __getstate__(self) -> dict:
         """Pickle without the parent-side hooks.
 
-        Worker processes receive the config inside ``GradeOptions`` /
-        shard contexts; cancellation and event observation are driven by
-        the parent, so closures and live logs must not (and often could
-        not) cross the process boundary.
+        Cancellation and event observation are driven by the parent,
+        so closures and live logs must not (and often could not) cross
+        a process boundary with a pickled config.
         """
         state = self.__dict__.copy()
         state["cancel"] = None
@@ -121,8 +118,6 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ReproRuntimeError("timeout_seconds must be positive")
-        if not self.engine or not isinstance(self.engine, str):
-            raise ReproRuntimeError("engine must be a non-empty string")
         if self.resume and self.checkpoint_dir is None:
             raise ReproRuntimeError("resume requires a checkpoint_dir")
         if self.timeout_seconds is not None and not self.isolate:

@@ -184,11 +184,13 @@ class ShardScheduler:
     """Run shard tasks over a :class:`WorkerPool` with the resilience
     contract of :class:`~repro.runtime.runner.JobRunner`.
 
-    The scheduler owns a :class:`JobRunner` purely for its checkpoint /
+    The scheduler owns a :class:`JobRunner` for its checkpoint /
     event-log plumbing (journal loading honours ``resume``, records are
     fingerprint-guarded, malformed entries surface as
-    :class:`~repro.errors.CheckpointCorrupt`); execution itself is pooled
-    rather than one-process-per-job.
+    :class:`~repro.errors.CheckpointCorrupt`).  With isolation on,
+    execution is pooled rather than one-process-per-job; with
+    ``isolate=False`` the runner executes the shards in process, one
+    after another.
     """
 
     def __init__(
@@ -220,8 +222,9 @@ class ShardScheduler:
 
         Returns:
             ``{task.key: JobOutcome}`` — ``cached`` (journaled result
-            reused), ``ok`` (graded in a pool worker) or ``failed``
-            (attempts exhausted; only this shard is lost).
+            reused), ``ok`` (graded in a pool worker, or in process when
+            the config turns isolation off) or ``failed`` (attempts
+            exhausted; only this shard is lost).
         """
         keys = [t.key for t in tasks]
         if len(set(keys)) != len(keys):
@@ -251,6 +254,16 @@ class ShardScheduler:
             else:
                 pending.append(_Pending(task))
         if not pending:
+            return outcomes
+        if not self.config.isolate:
+            # In process: the runner's own attempt loop stands in for the
+            # pool (retries and degradation, no timeout).
+            for entry in pending:
+                task = entry.task
+                outcomes[task.key] = self.runner.run(
+                    task.key, task.fn, task.args,
+                    fingerprint=task.fingerprint, serialize=serialize,
+                )
             return outcomes
 
         pool = WorkerPool(

@@ -426,7 +426,6 @@ class CampaignService:
                 if request.components is not None else None
             ),
             runtime=runtime,
-            jobs=request.jobs,
             options=options,
         )
 

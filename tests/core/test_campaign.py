@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.campaign import execute_self_test, run_campaign
 from repro.core.methodology import SelfTestMethodology
+from repro.faultsim.options import GradeOptions
 from repro.netlist.remap import remap_to_nand
 
 FAST = ["ALU", "BSH", "CTRL", "BMUX"]
@@ -98,7 +99,9 @@ class TestCollapsedCampaign:
     def pair(self):
         wanted = ["CTRL", "BMUX"]
         plain = run_campaign("A", components=wanted)
-        collapsed = run_campaign("A", components=wanted, collapse=True)
+        collapsed = run_campaign(
+            "A", components=wanted, options=GradeOptions(collapse=True)
+        )
         return plain, collapsed
 
     def test_tables_bit_identical(self, pair):

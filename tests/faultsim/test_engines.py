@@ -33,7 +33,6 @@ from repro.library import build_register_file
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.levelize import depth
 from repro.plasma.components import COMPONENTS, build_component
-from repro.runtime import RuntimeConfig
 
 ENGINES = ("differential", "packed")
 
@@ -274,19 +273,6 @@ class TestFacade:
         assert resolve_engine(netlist, options, stimulus).name == expected
         # Without a stimulus, sequential netlists stay differential.
         assert default_engine_name(netlist) == "differential"
-
-    def test_runtime_engine_honoured_only_under_auto(self):
-        netlist = adder4()
-        patterns = [dict(a=1, x=2, cin=0)]
-        bogus = RuntimeConfig(engine="flextest")
-        with pytest.raises(FaultSimError, match="unknown engine"):
-            grade(netlist, patterns,
-                  options=GradeOptions(engine="auto", runtime=bogus))
-        # An explicit engine choice wins over the runtime config.
-        result = grade(netlist, patterns,
-                       options=GradeOptions(engine="differential",
-                                            runtime=bogus))
-        assert result.n_faults > 0
 
     def test_empty_stimulus_messages(self):
         with pytest.raises(FaultSimError, match="no patterns to apply"):

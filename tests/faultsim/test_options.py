@@ -16,7 +16,6 @@ from repro.faultsim import (
 )
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
-from repro.runtime import RuntimeConfig
 
 
 def tiny_netlist():
@@ -66,20 +65,6 @@ class TestValidation:
         assert opts.replace(engine="packed").engine == "packed"
         with pytest.raises(FaultSimError, match="unknown engine"):
             opts.replace(engine="flextest")
-
-
-class TestEffectiveEngine:
-    def test_explicit_engine_wins_over_runtime(self):
-        runtime = RuntimeConfig(engine="differential")
-        opts = GradeOptions(engine="packed", runtime=runtime)
-        assert opts.effective_engine() == "packed"
-
-    def test_runtime_engine_fills_auto(self):
-        runtime = RuntimeConfig(engine="packed")
-        assert GradeOptions(runtime=runtime).effective_engine() == "packed"
-
-    def test_auto_stays_auto_without_runtime(self):
-        assert GradeOptions().effective_engine() == "auto"
 
 
 class TestFingerprint:

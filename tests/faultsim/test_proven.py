@@ -16,7 +16,6 @@ the denominator arithmetic, and the checkpoint/shard round-trips.
 
 import pytest
 
-from repro.core import campaign as campaign_mod
 from repro.core.sharded import (
     ShardVerdict,
     merge_shard_results,
@@ -106,6 +105,26 @@ class TestProvenMode:
         assert proven_p and proven_p <= skip_p
 
 
+def _one_shard_record(result):
+    """A component's journal record: at ``jobs=1`` its one shard's."""
+    n = result.fault_list.n_collapsed
+    return shard_record(ShardVerdict(
+        component=result.name, lo=0, hi=n, n_classes=n,
+        n_patterns=result.n_patterns,
+        detected=tuple(sorted(result.detected)),
+        pruned=tuple(sorted(result.pruned)),
+        proven=tuple(sorted(result.proven)),
+        n_simulated=result.n_simulated,
+    ))
+
+
+def _restore(record, fault_list):
+    verdict = record_to_verdict(record)
+    return merge_shard_results(
+        verdict.component, fault_list, verdict.n_patterns, [verdict]
+    )
+
+
 class TestCheckpointRoundTrip:
     def test_component_record_round_trips_proven(self):
         netlist = build_component("PCL")
@@ -114,12 +133,9 @@ class TestCheckpointRoundTrip:
             netlist, stimulus,
             options=GradeOptions(name="PCL", prune_untestable="proven"),
         )
-        record = campaign_mod._result_to_record((result, 123), elapsed=1.0)
+        record = _one_shard_record(result)
         assert record["proven"] == sorted(result.proven)
-        restored, nand2 = campaign_mod._record_to_result(
-            record, component("PCL")
-        )
-        assert nand2 == 123
+        restored = _restore(record, build_fault_list(component("PCL").builder()))
         assert restored.proven == result.proven
         assert restored.fault_coverage == result.fault_coverage
         assert restored.n_effective_faults == result.n_effective_faults
@@ -129,11 +145,9 @@ class TestCheckpointRoundTrip:
         stimulus = [{p.name: 0 for p in netlist.input_ports()}]
         result = grade(netlist, stimulus,
                        options=GradeOptions(name="PCL"))
-        record = campaign_mod._result_to_record((result, 1))
+        record = _one_shard_record(result)
         del record["proven"]  # a journal written before this layer
-        restored, _ = campaign_mod._record_to_result(
-            record, component("PCL")
-        )
+        restored = _restore(record, result.fault_list)
         assert restored.proven == set()
 
     def test_records_with_reach_accounting_still_load(self):
@@ -141,12 +155,10 @@ class TestCheckpointRoundTrip:
         stimulus = [{p.name: 0 for p in netlist.input_ports()}]
         result = grade(netlist, stimulus,
                        options=GradeOptions(name="PCL"))
-        record = campaign_mod._result_to_record((result, 1))
+        record = _one_shard_record(result)
         assert "n_reach_skipped" not in record
         record["n_reach_skipped"] = 66  # journals written with reach on
-        restored, _ = campaign_mod._record_to_result(
-            record, component("PCL")
-        )
+        restored = _restore(record, result.fault_list)
         assert restored.detected == result.detected
         assert not hasattr(restored, "n_reach_skipped")
 

@@ -1,10 +1,12 @@
-"""Integration tests: the sharded parallel campaign path.
+"""Integration tests: campaigns sharded over the worker pool (``jobs=2``).
 
 The acceptance bar for parallel grading is *bit-identical* results: any
 worker count, shard layout or completion order must merge to the same
-Table 5 as the serial run.  On top of that, the resilience contract holds
-at shard granularity — a crashed shard degrades only its own fault range,
-and resume re-grades exactly the shards missing from the journal.
+Table 5 as ``jobs=1`` (pinned for every path by
+``test_resilient_campaign.py::TestPathEquivalence``).  On top of that,
+the resilience contract holds at shard granularity — a crashed shard
+degrades only its own fault range, and resume re-grades exactly the
+shards missing from the journal.
 """
 
 import json
@@ -14,6 +16,7 @@ import pytest
 
 import repro.core.sharded as sharded_mod
 from repro.core.campaign import run_campaign
+from repro.faultsim.options import GradeOptions
 from repro.reporting.tables import render_table5
 from repro.runtime import RetryPolicy, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointStore
@@ -48,28 +51,10 @@ def _crash_first_bmux_shard(name, lo, hi):
 
 
 class TestParallelMatchesSerial:
-    def test_bit_identical_table5(self):
-        serial = run_campaign("A", components=FAST)
-        parallel = run_campaign("A", components=FAST, jobs=2)
-        assert render_table5({"A": parallel}) == render_table5(
-            {"A": serial}
-        )
-        assert not parallel.degraded
-        for name in FAST:
-            a, b = serial.results[name], parallel.results[name]
-            assert a.detected == b.detected
-            assert a.pruned == b.pruned
-            assert a.n_patterns == b.n_patterns
-            # Per-fault verdicts, not just the aggregate sets.
-            assert set(a.detections) == set(b.detections)
-            for rep, d in a.detections.items():
-                assert (d.detected, d.cycle) == (
-                    b.detections[rep].detected, b.detections[rep].cycle,
-                )
-        assert serial.table5() == parallel.table5()
-
     def test_shard_events_and_throughput(self):
-        outcome = run_campaign("A", components=["CTRL"], jobs=2)
+        outcome = run_campaign(
+            "A", components=["CTRL"], runtime=_config(jobs=2)
+        )
         successes = [e for e in outcome.events if e.kind == "success"]
         # CTRL's 1032 classes split into jobs * oversubscription shards.
         assert len(successes) == 6
@@ -81,26 +66,26 @@ class TestParallelMatchesSerial:
         outcome = run_campaign(
             "A", components=["CTRL"], runtime=_config(jobs=2)
         )
-        assert any("#" in e.job for e in outcome.events)
+        assert len({e.job for e in outcome.events}) > 1  # sharded
 
     def test_parallel_requires_isolation(self):
         from repro.errors import ReproRuntimeError
 
-        config = RuntimeConfig(isolate=False)
         with pytest.raises(ReproRuntimeError):
             run_campaign(
-                "A", components=["CTRL"], runtime=config, jobs=2
+                "A", components=["CTRL"],
+                runtime=RuntimeConfig(isolate=False, jobs=2),
             )
 
 
 class TestShardResume:
     def test_resume_skips_completed_shards(self, tmp_path):
         run_campaign(
-            "A", components=FAST, runtime=_config(tmp_path), jobs=2
+            "A", components=FAST, runtime=_config(tmp_path)
         )
         resumed = run_campaign(
             "A", components=FAST,
-            runtime=_config(tmp_path, resume=True), jobs=2,
+            runtime=_config(tmp_path, resume=True),
         )
         kinds = [e.kind for e in resumed.events]
         assert set(kinds) == {"cached"}
@@ -113,7 +98,7 @@ class TestShardResume:
 
     def test_resume_regrades_only_missing_shards(self, tmp_path):
         run_campaign(
-            "A", components=["CTRL"], runtime=_config(tmp_path), jobs=2
+            "A", components=["CTRL"], runtime=_config(tmp_path)
         )
         store = CheckpointStore(tmp_path)
         lines = store.path.read_text().splitlines()
@@ -128,7 +113,7 @@ class TestShardResume:
 
         resumed = run_campaign(
             "A", components=["CTRL"],
-            runtime=_config(tmp_path, resume=True), jobs=2,
+            runtime=_config(tmp_path, resume=True),
         )
         per_shard = {}
         for e in resumed.events:
@@ -149,7 +134,7 @@ class TestLaneAlignment:
         from repro.faultsim.options import DEFAULT_LANES
 
         run_campaign(
-            "A", components=["ALU"], runtime=_config(tmp_path), jobs=2
+            "A", components=["ALU"], runtime=_config(tmp_path)
         )
         records = [
             json.loads(line)
@@ -171,7 +156,7 @@ class TestShardDegradation:
     def test_crashed_component_degrades_only_itself(self, monkeypatch):
         monkeypatch.setattr(sharded_mod, "grade_shard", _crash_bmux)
         outcome = run_campaign(
-            "A", components=FAST, runtime=_config(attempts=1), jobs=2
+            "A", components=FAST, runtime=_config(attempts=1)
         )
         assert outcome.degraded_components == ["BMUX"]
         assert outcome.results["BMUX"].n_detected == 0
@@ -180,13 +165,15 @@ class TestShardDegradation:
         assert outcome.summary.component("BMUX").degraded
 
     def test_single_crashed_shard_keeps_partial_coverage(self, monkeypatch):
+        # The in-process reference grades through grade_shard too, so it
+        # runs before the substitution.
+        serial = run_campaign("A", components=["BMUX"])
         monkeypatch.setattr(
             sharded_mod, "grade_shard", _crash_first_bmux_shard
         )
         outcome = run_campaign(
-            "A", components=["BMUX"], runtime=_config(attempts=1), jobs=2
+            "A", components=["BMUX"], runtime=_config(attempts=1)
         )
-        serial = run_campaign("A", components=["BMUX"])
         assert outcome.degraded_components == ["BMUX"]
         partial = outcome.results["BMUX"].detected
         full = serial.results["BMUX"].detected
@@ -202,7 +189,8 @@ class TestCollapsedShards:
     def test_parallel_collapsed_matches_serial_plain(self):
         serial = run_campaign("A", components=FAST)
         parallel = run_campaign(
-            "A", components=FAST, jobs=2, collapse=True
+            "A", components=FAST, runtime=_config(),
+            options=GradeOptions(collapse=True),
         )
         assert render_table5({"A": parallel}) == render_table5({"A": serial})
         for name in FAST:
@@ -235,11 +223,12 @@ class TestCollapsedShards:
     def test_collapsed_resume_reuses_journal(self, tmp_path):
         first = run_campaign(
             "A", components=["CTRL"], runtime=_config(tmp_path),
-            jobs=2, collapse=True,
+            options=GradeOptions(collapse=True),
         )
         resumed = run_campaign(
             "A", components=["CTRL"],
-            runtime=_config(tmp_path, resume=True), jobs=2, collapse=True,
+            runtime=_config(tmp_path, resume=True),
+            options=GradeOptions(collapse=True),
         )
         assert resumed.results["CTRL"].detected == \
             first.results["CTRL"].detected

@@ -1,66 +1,204 @@
 """Integration tests: the fault-grading campaign under the resilient runner.
 
 These exercise the acceptance paths of the resilient runtime against real
-(cheap) components: checkpoint/resume round-trips, interrupted campaigns,
-timeout-driven degradation and corrupt-journal recovery.
+(cheap) components: the equivalence of every execution path,
+checkpoint/resume round-trips, interrupted campaigns, timeout-driven
+degradation and corrupt-journal recovery.
 """
 
 import os
+import sys
+import threading
 import time
 
 import pytest
 
-import repro.core.campaign as campaign_mod
-from repro.core.campaign import run_campaign
+import repro.core.sharded as sharded_mod
+from repro.core.campaign import (
+    _job_fingerprint,
+    execute_self_test,
+    grade_component,
+    run_campaign,
+)
+from repro.core.methodology import SelfTestMethodology
+from repro.faultsim.faults import build_fault_list
+from repro.faultsim.options import GradeOptions
+from repro.plasma.components import component
 from repro.reporting.tables import render_table5
 from repro.runtime import RetryPolicy, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointStore
 
 FAST = ["CTRL", "BMUX"]
 
-_real_grading_job = campaign_mod._grading_job
+_real_grade_shard = sharded_mod.grade_shard
 
 
 def _config(tmp_path=None, resume=False, attempts=2, timeout=None,
-            isolate=True):
+            isolate=True, jobs=1):
     return RuntimeConfig(
         timeout_seconds=timeout,
         retry=RetryPolicy(max_attempts=attempts, backoff_seconds=0),
         checkpoint_dir=tmp_path,
         resume=resume,
         isolate=isolate,
+        jobs=jobs,
         sleep=lambda s: None,
     )
 
 
-def _hang_component(name, *args, **kwargs):
+def _hang_component(name, lo, hi):
     if name == "BMUX":
         time.sleep(60)
-    return _real_grading_job(name, *args, **kwargs)
+    return _real_grade_shard(name, lo, hi)
 
 
-def _crash_component(name, *args, **kwargs):
+def _crash_component(name, lo, hi):
     if name == "BMUX":
         os._exit(11)
-    return _real_grading_job(name, *args, **kwargs)
+    return _real_grade_shard(name, lo, hi)
 
 
-def _interrupt_component(name, *args, **kwargs):
+def _interrupt_component(name, lo, hi):
     if name == "BMUX":
         raise KeyboardInterrupt  # simulates the user killing the campaign
-    return _real_grading_job(name, *args, **kwargs)
+    return _real_grade_shard(name, lo, hi)
 
 
-class TestResilientMatchesSerial:
-    def test_same_table5_as_in_process(self, tmp_path):
-        resilient = run_campaign(
-            "A", components=FAST, runtime=_config(tmp_path)
+@pytest.fixture(scope="module")
+def reference():
+    """Per-component facade grades of the traced phase-A stimulus."""
+    self_test = SelfTestMethodology().build_program("A")
+    _, tracer, _ = execute_self_test(self_test)
+    specs = tracer.finalize()
+    return {
+        name: grade_component(component(name), *specs[name])
+        for name in FAST
+    }
+
+
+@pytest.fixture(scope="module")
+def in_process_table5():
+    return render_table5({"A": run_campaign("A", components=FAST)})
+
+
+class TestPathEquivalence:
+    """Every execution path plans, grades and merges the same verdicts."""
+
+    @pytest.mark.parametrize(
+        "path", ["in-process", "runner-checkpoint", "pool-jobs1", "jobs2"]
+    )
+    def test_paths_agree(self, path, tmp_path, reference, in_process_table5):
+        runtime = {
+            "in-process": None,
+            "runner-checkpoint": _config(tmp_path, isolate=False),
+            "pool-jobs1": _config(jobs=1),
+            "jobs2": _config(jobs=2),
+        }[path]
+        outcome = run_campaign("A", components=FAST, runtime=runtime)
+        assert render_table5({"A": outcome}) == in_process_table5
+        assert not outcome.degraded
+        for name in FAST:
+            got, want = outcome.results[name], reference[name]
+            assert got.detected == want.detected
+            assert got.pruned == want.pruned
+            assert got.n_patterns == want.n_patterns
+            # Per-fault verdicts, not just the aggregate sets.
+            assert got.detections == want.detections
+        if runtime is None:
+            assert outcome.events == []
+        else:
+            kinds = [e.kind for e in outcome.events]
+            shards = {e.job for e in outcome.events}
+            assert kinds.count("success") == len(shards)
+            assert len(shards) == (2 if runtime.jobs == 1 else 12)
+        if path == "runner-checkpoint":
+            journaled = CheckpointStore(tmp_path).load()
+            assert set(journaled) == {"A:CTRL#01/01", "A:BMUX#01/01"}
+
+
+class TestInProcess:
+    def test_planner_objects_reused_then_released(self, monkeypatch):
+        import repro.analysis.collapse as collapse_mod
+        import repro.core.campaign as campaign_mod
+
+        built = []
+        held = []
+
+        def counting(real):
+            def wrapper(netlist, *args, **kwargs):
+                built.append(real.__name__)
+                return real(netlist, *args, **kwargs)
+            return wrapper
+
+        def spying_shard(name, lo, hi):
+            context = sharded_mod._ACTIVE.context
+            held.append(set(context.seeds) | set(context.components))
+            return _real_grade_shard(name, lo, hi)
+
+        for module in (campaign_mod, sharded_mod):
+            monkeypatch.setattr(
+                module, "build_fault_list", counting(module.build_fault_list)
+            )
+        monkeypatch.setattr(
+            collapse_mod, "compute_collapse",
+            counting(collapse_mod.compute_collapse),
         )
-        serial = run_campaign("A", components=FAST)
-        assert render_table5({"A": resilient}) == render_table5({"A": serial})
-        assert not resilient.degraded
-        kinds = [e.kind for e in resilient.events]
-        assert kinds.count("success") == len(FAST)
+        monkeypatch.setattr(sharded_mod, "grade_shard", spying_shard)
+        run_campaign(
+            "A", components=FAST, options=GradeOptions(collapse=True)
+        )
+        # One fault list and one collapse map per component, both from
+        # the planner; each shard sees only its own component's state.
+        assert sorted(built) == sorted(
+            ["build_fault_list", "compute_collapse"] * len(FAST)
+        )
+        assert held == [{"CTRL"}, {"BMUX"}]
+        assert sharded_mod._ACTIVE.context is None
+
+    def test_concurrent_threads_keep_their_own_context(self):
+        # The campaign service grades in-process campaigns on several
+        # threads at once; each must read its own traces, not another
+        # thread's (phase AB drives CTRL differently from phase A).
+        phases = ["A", "AB", "A", "AB"]
+        want = {
+            p: run_campaign(p, components=["CTRL"]).table5()
+            for p in set(phases)
+        }
+        got: dict[int, list] = {}
+
+        def grade(i):
+            got[i] = run_campaign(phases[i], components=["CTRL"]).table5()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=grade, args=(i,))
+                for i in range(len(phases))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert want["A"] != want["AB"]
+        assert got == {i: want[p] for i, p in enumerate(phases)}
+
+    def test_grading_exception_reaches_the_caller(self, monkeypatch):
+        calls = []
+
+        def exploding_shard(name, lo, hi):
+            calls.append(name)
+            raise ValueError("synthetic grading failure")
+
+        monkeypatch.setattr(sharded_mod, "grade_shard", exploding_shard)
+        with pytest.raises(ValueError, match="synthetic grading failure"):
+            run_campaign("A", components=FAST)
+        # No retries, and the campaign stops at the first failure
+        # instead of rendering a degraded row.
+        assert calls == ["CTRL"]
 
 
 class TestCheckpointResume:
@@ -68,7 +206,7 @@ class TestCheckpointResume:
         # Run 1: the campaign dies mid-run (simulated Ctrl-C while grading
         # the second component).  The first component is already journaled.
         monkeypatch.setattr(
-            campaign_mod, "_grading_job", _interrupt_component
+            sharded_mod, "grade_shard", _interrupt_component
         )
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
@@ -76,17 +214,17 @@ class TestCheckpointResume:
                 runtime=_config(tmp_path, isolate=False),
             )
         journaled = CheckpointStore(tmp_path).load()
-        assert set(journaled) == {"A:CTRL"}
+        assert set(journaled) == {"A:CTRL#01/01"}
 
         # Run 2: --resume grades only the remainder...
-        monkeypatch.setattr(campaign_mod, "_grading_job", _real_grading_job)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _real_grade_shard)
         resumed = run_campaign(
             "A", components=FAST, runtime=_config(tmp_path, resume=True)
         )
         per_job = {e.job: e.kind for e in resumed.events}
-        assert per_job["A:CTRL"] == "cached"
+        assert per_job["A:CTRL#01/01"] == "cached"
         assert any(
-            e.job == "A:BMUX" and e.kind == "success"
+            e.job == "A:BMUX#01/01" and e.kind == "success"
             for e in resumed.events
         )
         # ... and the final table is identical to an uninterrupted run.
@@ -117,9 +255,56 @@ class TestCheckpointResume:
         per_job = {}
         for e in resumed.events:
             per_job.setdefault(e.job, []).append(e.kind)
-        assert per_job["A:CTRL"][-1] == "success"  # re-graded
-        assert per_job["A:BMUX"] == ["cached"]     # salvaged
+        assert per_job["A:CTRL#01/01"][-1] == "success"  # re-graded
+        assert per_job["A:BMUX#01/01"] == ["cached"]     # salvaged
         uninterrupted = run_campaign("A", components=FAST)
+        assert render_table5({"A": resumed}) == render_table5(
+            {"A": uninterrupted}
+        )
+
+    def test_resumed_merge_is_not_stored(self, tmp_path):
+        # Journaled shards carry no per-fault Detection records; storing
+        # their merge would make every later store replay lose them.
+        journal, cache = tmp_path / "ckpt", tmp_path / "cache"
+        run_campaign(
+            "A", components=["CTRL"], runtime=_config(journal, isolate=False)
+        )
+        run_campaign(
+            "A", components=["CTRL"], options=GradeOptions(cache=cache),
+            runtime=_config(journal, resume=True, isolate=False),
+        )
+        replay = run_campaign(
+            "A", components=["CTRL"], options=GradeOptions(cache=cache)
+        )
+        cold = run_campaign("A", components=["CTRL"])
+        assert replay.results["CTRL"].detections == (
+            cold.results["CTRL"].detections
+        )
+
+    def test_component_format_journal_is_not_trusted(self, tmp_path):
+        # A journal from before shard keys: one record per component
+        # under "A:CTRL", with the component fingerprint of that era.
+        # Its detected set is vandalised, so trusting it would show.
+        self_test = SelfTestMethodology().build_program("A")
+        info = component("CTRL")
+        n_faults = build_fault_list(info.builder()).n_collapsed
+        record = {
+            "name": "CTRL", "n_faults": n_faults, "detected": [],
+            "n_patterns": 2646, "nand2": 1, "elapsed": 0.0, "pruned": [],
+            "proven": [], "n_simulated": n_faults, "n_inferred": 0,
+            "collapse_hash": "",
+        }
+        CheckpointStore(tmp_path).append(
+            "A:CTRL", record, _job_fingerprint(self_test, info)
+        )
+        resumed = run_campaign(
+            "A", components=["CTRL"],
+            runtime=_config(tmp_path, resume=True, isolate=False),
+        )
+        kinds = [(e.job, e.kind) for e in resumed.events]
+        assert ("A:CTRL#01/01", "success") in kinds
+        assert all(kind != "cached" for _, kind in kinds)
+        uninterrupted = run_campaign("A", components=["CTRL"])
         assert render_table5({"A": resumed}) == render_table5(
             {"A": uninterrupted}
         )
@@ -127,14 +312,14 @@ class TestCheckpointResume:
 
 class TestGracefulDegradation:
     def test_timeout_retry_then_degraded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(campaign_mod, "_grading_job", _hang_component)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _hang_component)
         outcome = run_campaign(
             "A", components=FAST,
             runtime=_config(tmp_path, timeout=0.5),
         )
         assert outcome.degraded_components == ["BMUX"]
         assert outcome.degraded
-        kinds = [e.kind for e in outcome.events if e.job == "A:BMUX"]
+        kinds = [e.kind for e in outcome.events if e.job == "A:BMUX#01/01"]
         assert kinds == ["start", "timeout", "retry", "start", "timeout",
                          "degraded"]
         # The degraded component reports its full fault universe with
@@ -150,7 +335,7 @@ class TestGracefulDegradation:
         assert not outcome.summary.component("CTRL").degraded
 
     def test_worker_crash_then_degraded(self, monkeypatch):
-        monkeypatch.setattr(campaign_mod, "_grading_job", _crash_component)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _crash_component)
         outcome = run_campaign(
             "A", components=["BMUX"], runtime=_config(attempts=2)
         )
@@ -160,7 +345,7 @@ class TestGracefulDegradation:
                          "degraded"]
 
     def test_degraded_table5_rendering(self, monkeypatch):
-        monkeypatch.setattr(campaign_mod, "_grading_job", _crash_component)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _crash_component)
         outcome = run_campaign(
             "A", components=FAST, runtime=_config(attempts=1)
         )

@@ -110,6 +110,11 @@ class TestSelftest:
         assert "selftest_halt" in target.read_text()
 
 
+def _exploding_shard(name, lo, hi):
+    # Module-level: pool workers receive shard functions by reference.
+    raise ValueError("synthetic grading failure")
+
+
 class TestCampaign:
     def test_subset_campaign(self, capsys):
         assert main(["campaign", "--phases", "A",
@@ -136,17 +141,16 @@ class TestCampaign:
         assert main(["campaign", "--phases", "A,AB",
                      "--components", "CTRL", "--checkpoint", ckpt]) == 0
         # The second phase must not wipe the first phase's journal.
-        assert set(CheckpointStore(ckpt).load()) == {"A:CTRL", "AB:CTRL"}
+        assert set(CheckpointStore(ckpt).load()) == {
+            "A:CTRL#01/01", "AB:CTRL#01/01",
+        }
 
     def test_degraded_campaign_distinct_exit_code(
         self, tmp_path, capsys, monkeypatch
     ):
-        import repro.core.campaign as campaign_mod
+        import repro.core.sharded as sharded_mod
 
-        def exploding_job(name, *args, **kwargs):
-            raise ValueError("synthetic grading failure")
-
-        monkeypatch.setattr(campaign_mod, "_grading_job", exploding_job)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _exploding_shard)
         code = main(["campaign", "--phases", "A", "--components", "CTRL",
                      "--checkpoint", str(tmp_path / "ckpt"),
                      "--retries", "1"])
