@@ -99,6 +99,15 @@ _DOMINANCE_PINS: dict[GateType, tuple[int, ...] | None] = {
 
 _UNKNOWN = -1
 
+#: Version tag of the collapse code.  :func:`compute_collapse` is a pure
+#: function of the netlist structure, so the structural hash plus this tag
+#: fixes the whole :class:`CollapseMap`: persistent-store verdict keys
+#: carry the tag instead of ``collapse_hash``, which lets a store hit skip
+#: building the map.  Bump it on any change to the collapse output or to
+#: the fault universe's order (``tests/analysis/test_collapse_epoch.py``
+#: pins both), or stored records would replay stale inferred witnesses.
+COLLAPSE_EPOCH = "collapse-v1"
+
 
 def _const_output(gtype: GateType, vals: list[int]) -> int:
     """Ternary gate evaluation: ``vals`` holds 0/1/``_UNKNOWN`` per pin.
@@ -600,7 +609,7 @@ def _simulation_order(
 def _collapse_hash(netlist: Netlist, cmap: CollapseMap) -> str:
     """BLAKE2b digest pinning the exact collapse result."""
     h = hashlib.blake2b(digest_size=16)
-    h.update(b"collapse-v1\0")
+    h.update(COLLAPSE_EPOCH.encode() + b"\0")
     h.update(structural_hash(netlist).encode())
     h.update(
         f"\0{cmap.fault_list.n_prime}:{cmap.fault_list.n_collapsed}\0"

@@ -42,7 +42,12 @@ from repro.core.sharded import (
 )
 from repro.errors import CheckpointCorrupt, FaultSimError
 from repro.faultsim.coverage import CoverageSummary
-from repro.faultsim.engine import Stimulus, grade, resolve_engine
+from repro.faultsim.engine import (
+    Stimulus,
+    collapse_epoch,
+    grade,
+    resolve_engine,
+)
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
@@ -238,7 +243,9 @@ def _plan_component(
     The collapse hash goes into the fingerprint so a resumed run never
     reuses shard bounds from the other universe.  With a persistent
     store, a verdict record for this exact grade replays the whole
-    component with zero shards.  ``in_process`` seeds the context's
+    component with zero shards; the lookup comes before collapsing and
+    engine selection, so a hit costs the netlist, the fault list, the
+    observe plan and one record read.  ``in_process`` seeds the context's
     component cache with the objects built here, so the shards reuse
     them instead of building their own.
     """
@@ -254,14 +261,6 @@ def _plan_component(
         # The program never excited this component: all faults stay
         # undetected, there is nothing to grade.
         return plan
-    cmap = None
-    universe_size = fault_list.n_collapsed
-    if options.collapse_requested:
-        from repro.analysis.collapse import compute_collapse
-
-        cmap = compute_collapse(netlist, fault_list)
-        universe_size = len(cmap.simulation_order())
-    chash = cmap.collapse_hash if cmap is not None else ""
     observe = None
     store = options.store
     if store is not None:
@@ -270,13 +269,22 @@ def _plan_component(
         )
         plan.store_key = verdict_key_for(
             store, netlist, stimulus, observe, fault_list,
-            prune_mode=options.prune_mode, collapse_hash=chash,
+            prune_mode=options.prune_mode,
+            collapse_epoch=collapse_epoch(options),
         )
         plan.cached = store.replay_verdicts(
             plan.store_key, info.name, fault_list
         )
         if plan.cached is not None:
             return plan
+    cmap = None
+    universe_size = fault_list.n_collapsed
+    if options.collapse_requested:
+        from repro.analysis.collapse import compute_collapse
+
+        cmap = compute_collapse(netlist, fault_list)
+        universe_size = len(cmap.simulation_order())
+    chash = cmap.collapse_hash if cmap is not None else ""
     engine = resolve_engine(netlist, options, stimulus)
     plan.engine = engine.name
     # Packed words carry ``lanes - 1`` fault classes; aligning shard

@@ -294,6 +294,21 @@ def resolve_engine(
 # --------------------------------------------------------------- collapsing
 
 
+def collapse_epoch(options: GradeOptions) -> str:
+    """The collapse tag a verdict key carries for ``options``.
+
+    :data:`~repro.analysis.collapse.COLLAPSE_EPOCH` when grading runs
+    through a collapse map (``collapse=True`` or a precomputed map — both
+    address one record), ``""`` otherwise.  Needs no map, so a store
+    lookup can come before :func:`~repro.analysis.collapse.compute_collapse`.
+    """
+    if not options.collapse_requested:
+        return ""
+    from repro.analysis.collapse import COLLAPSE_EPOCH
+
+    return COLLAPSE_EPOCH
+
+
 def _grade_collapsed(
     selected: FaultSimEngine,
     netlist: Netlist,
@@ -441,9 +456,12 @@ def grade(
     Returns:
         The campaign result; verdicts are engine-invariant.  When
         ``options.cache`` is set and the store holds a record for this
-        exact (netlist, stimulus, observability, prune mode, collapse)
-        fingerprint, the result is replayed from disk with
-        ``cache_hit=True`` and zero simulated classes.
+        exact (netlist, stimulus, observability, prune mode, collapse
+        epoch) fingerprint, the result is replayed from disk with
+        ``cache_hit=True`` and zero simulated classes.  The lookup comes
+        first: a hit builds no collapse map, resolves no engine and
+        computes no prune sets, and ``collapse=True`` and a precomputed
+        map address the same record.
     """
     opts = options if options is not None else GradeOptions()
 
@@ -464,20 +482,13 @@ def grade(
         fault_list = (
             faults if faults is not None else build_fault_list(netlist)
         )
-        if opts.collapse is True:
-            # Local import: repro.analysis.collapse imports this
-            # package's fault model, so the dependency stays one-way.
-            from repro.analysis.collapse import compute_collapse
-
-            cmap = compute_collapse(netlist, fault_list)
     plan = ObservePlan.from_spec(opts.observe, len(stimulus), netlist)
     label = opts.name or netlist.name
-    selected = resolve_engine(netlist, opts, stimulus)
     mode = opts.prune_mode
 
     # Persistent store: activate it for good-trace sharing either way,
     # and replay the whole verdict record when this exact grade (same
-    # structure, stimulus, observability, pruning, collapse universe)
+    # structure, stimulus, observability, pruning, collapse epoch)
     # already ran.  Subset grades are shard-local and never stored —
     # the campaign layer caches the merged full-universe result instead.
     store = opts.store
@@ -488,12 +499,19 @@ def grade(
             store_key = verdict_key_for(
                 store, netlist, stimulus, plan, fault_list,
                 prune_mode=mode,
-                collapse_hash=cmap.collapse_hash if cmap is not None else "",
+                collapse_epoch=collapse_epoch(opts),
             )
             cached = store.replay_verdicts(store_key, label, fault_list)
             if cached is not None:
                 return cached
 
+        if cmap is None and opts.collapse is True:
+            # Local import: repro.analysis.collapse imports this
+            # package's fault model, so the dependency stays one-way.
+            from repro.analysis.collapse import compute_collapse
+
+            cmap = compute_collapse(netlist, fault_list)
+        selected = resolve_engine(netlist, opts, stimulus)
         skip, proven = prune_sets(netlist, fault_list, mode)
         if cmap is not None:
             supers: Sequence[int] | None = None

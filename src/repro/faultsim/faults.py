@@ -179,18 +179,14 @@ class FaultList:
 
 
 def build_fault_list(netlist: Netlist, collapse: bool = True) -> FaultList:
-    """Enumerate and (optionally) collapse the stuck-at fault universe."""
-    faults: list[Fault] = []
-    index_of: dict[tuple[FaultKind, int, int, int, int], int] = {}
+    """Enumerate and (optionally) collapse the stuck-at fault universe.
 
-    def add(fault: Fault) -> int:
-        key = (fault.kind, fault.net, fault.stuck, fault.gate, fault.pin)
-        if key in index_of:
-            return index_of[key]
-        index_of[key] = len(faults)
-        faults.append(fault)
-        return index_of[key]
-
+    Faults are appended in the canonical enumeration order — stems of
+    the sorted live nets, then branch pins in gate/pin order, then DFF D
+    pins — each site once (nets, ``(gate, pin)`` pairs and DFFs are all
+    unique), so the stuck-at-0/1 pair of a site sits at ``i`` and
+    ``i + 1``.
+    """
     fanout_count: dict[int, int] = {}
     for gate in netlist.gates:
         for net in gate.inputs:
@@ -213,29 +209,32 @@ def build_fault_list(netlist: Netlist, collapse: bool = True) -> FaultList:
     live_nets.discard(CONST0)
     live_nets.discard(CONST1)
 
+    faults: list[Fault] = []
+    stem_at: dict[int, int] = {}  # net -> index of its stuck-at-0 stem
     for net in sorted(live_nets):
-        for stuck in (0, 1):
-            add(Fault(FaultKind.STEM, net, stuck))
+        stem_at[net] = len(faults)
+        faults.append(Fault(FaultKind.STEM, net, 0))
+        faults.append(Fault(FaultKind.STEM, net, 1))
 
     # Branch faults on fanout pins.
+    branch_at: dict[tuple[int, int], int] = {}  # (gate, pin) -> s-a-0 index
     for gate in netlist.gates:
         for pin, net in enumerate(gate.inputs):
-            if net in (CONST0, CONST1):
+            if net in (CONST0, CONST1) or fanout_count[net] < 2:
                 continue
-            if fanout_count.get(net, 0) > 1:
-                for stuck in (0, 1):
-                    add(Fault(FaultKind.BRANCH, net, stuck, gate=gate.index, pin=pin))
+            branch_at[(gate.index, pin)] = len(faults)
+            faults.append(Fault(FaultKind.BRANCH, net, 0, gate.index, pin))
+            faults.append(Fault(FaultKind.BRANCH, net, 1, gate.index, pin))
     for dff in netlist.dffs:
         net = dff.d
-        if net in (CONST0, CONST1):
+        if net in (CONST0, CONST1) or fanout_count[net] < 2:
             continue
-        if fanout_count.get(net, 0) > 1:
-            for stuck in (0, 1):
-                add(Fault(FaultKind.DFF_D, net, stuck, gate=dff.index))
+        faults.append(Fault(FaultKind.DFF_D, net, 0, dff.index))
+        faults.append(Fault(FaultKind.DFF_D, net, 1, dff.index))
 
     uf = _UnionFind(len(faults))
     if collapse:
-        _collapse(netlist, faults, index_of, fanout_count, uf)
+        _collapse(netlist, stem_at, branch_at, fanout_count, uf)
 
     representative = [uf.find(i) for i in range(len(faults))]
     classes: dict[int, list[int]] = {}
@@ -246,33 +245,30 @@ def build_fault_list(netlist: Netlist, collapse: bool = True) -> FaultList:
 
 def _collapse(
     netlist: Netlist,
-    faults: list[Fault],
-    index_of: dict[tuple[FaultKind, int, int, int, int], int],
+    stem_at: dict[int, int],
+    branch_at: dict[tuple[int, int], int],
     fanout_count: dict[int, int],
     uf: _UnionFind,
 ) -> None:
-    """Apply gate-local structural equivalences."""
+    """Apply gate-local structural equivalences.
 
-    def stem(net: int, stuck: int) -> int | None:
-        return index_of.get((FaultKind.STEM, net, stuck, -1, -1))
-
-    def branch(gate: int, pin: int, net: int, stuck: int) -> int | None:
-        return index_of.get((FaultKind.BRANCH, net, stuck, gate, pin))
-
+    ``stem_at`` / ``branch_at`` give the index of a site's stuck-at-0
+    fault; its stuck-at-1 fault follows it.
+    """
     for gate in netlist.gates:
         pairs = _EQUIVALENCE.get(gate.gtype)
         if not pairs:
             continue
+        out_at = stem_at.get(gate.output)
+        if out_at is None:
+            continue
         for in_stuck, out_stuck in pairs:
-            out_fault = stem(gate.output, out_stuck)
-            if out_fault is None:
-                continue
+            out_fault = out_at + out_stuck
             for pin, net in enumerate(gate.inputs):
                 if net in (CONST0, CONST1):
                     continue
-                if fanout_count.get(net, 0) > 1:
-                    pin_fault = branch(gate.index, pin, net, in_stuck)
+                if fanout_count[net] > 1:
+                    pin_at = branch_at[(gate.index, pin)]
                 else:
-                    pin_fault = stem(net, in_stuck)
-                if pin_fault is not None:
-                    uf.union(out_fault, pin_fault)
+                    pin_at = stem_at[net]
+                uf.union(out_fault, pin_at + in_stuck)

@@ -94,22 +94,47 @@ class ObservePlan:
                 for p in netlist.ports.values()
                 if p.direction is PortDirection.OUTPUT
             }
+        # Phase-A specs hold thousands of entries but only a handful of
+        # distinct ones: normalize and validate each distinct raw entry
+        # once, and share one tuple between equal entries.  Only entries
+        # whose names are all plain ``str`` are memoized, since names
+        # that compare equal can still ``str()`` differently (1, True).
+        memo: dict[tuple[object, ...], Entry] = {}
+        shared: dict[Entry, Entry] = {}
         entries: list[Entry] = []
         for raw in observe:
             if isinstance(raw, Mapping):
-                items = [(str(k), int(v)) for k, v in raw.items()]
+                pairs = tuple(raw.items())
+                key: tuple[object, ...] = (True, pairs)
             else:
-                items = [(str(name), None) for name in raw]
-            for name, lane_mask in items:
-                if lane_mask is not None and lane_mask < 0:
-                    raise FaultSimError(
-                        f"negative lane mask for observed port {name!r}"
-                    )
-                if output_ports is not None and name not in output_ports:
-                    raise FaultSimError(
-                        f"observed port {name!r} is not an output port"
-                    )
-            entries.append(tuple(sorted(items)))
+                names = tuple(raw)
+                key = (False, names)
+            hashable = True
+            try:
+                entry = memo.get(key)
+            except TypeError:  # an unhashable name or mask: no memo
+                entry, hashable = None, False
+            if entry is None:
+                items: list[tuple[str, int | None]]
+                if isinstance(raw, Mapping):
+                    names = tuple(k for k, _ in pairs)
+                    items = [(str(k), int(v)) for k, v in pairs]
+                else:
+                    items = [(str(name), None) for name in names]
+                for name, lane_mask in items:
+                    if lane_mask is not None and lane_mask < 0:
+                        raise FaultSimError(
+                            f"negative lane mask for observed port {name!r}"
+                        )
+                    if output_ports is not None and name not in output_ports:
+                        raise FaultSimError(
+                            f"observed port {name!r} is not an output port"
+                        )
+                normalized = tuple(sorted(items))
+                entry = shared.setdefault(normalized, normalized)
+                if hashable and all(type(name) is str for name in names):
+                    memo[key] = entry
+            entries.append(entry)
         return cls(n_entries, tuple(entries))
 
     # -------------------------------------------------------- properties
@@ -133,13 +158,20 @@ class ObservePlan:
             return memo  # type: ignore[no-any-return]
         import hashlib
 
-        digest = hashlib.blake2b(digest_size=12)
-        digest.update(str(self.n_entries).encode())
+        # Encode each distinct entry once; hashing the concatenation
+        # gives the same digest as feeding the pieces one by one.
+        encoded: dict[Entry, bytes] = {}
+        parts = [str(self.n_entries).encode()]
         for entry in self.entries:
-            digest.update(b"|")
-            for name, lane_mask in entry:
-                mask = "*" if lane_mask is None else format(lane_mask, "x")
-                digest.update(f"{name}={mask};".encode())
+            chunk = encoded.get(entry)
+            if chunk is None:
+                chunk = encoded[entry] = ("|" + "".join(
+                    f"{name}="
+                    f"{'*' if lane_mask is None else format(lane_mask, 'x')};"
+                    for name, lane_mask in entry
+                )).encode()
+            parts.append(chunk)
+        digest = hashlib.blake2b(b"".join(parts), digest_size=12)
         sig = digest.hexdigest()
         self.__dict__["_signature_memo"] = sig
         return sig

@@ -4,7 +4,7 @@ The in-process :class:`~repro.faultsim.trace_cache.GoodTraceCache` keeps
 a handful of good traces resident for one interpreter; this module
 promotes the same content-addressed idea to disk so *campaigns* become
 incremental: an unchanged component — same structural netlist hash, same
-stimulus hash, same observability, prune mode and collapse map — is
+stimulus hash, same observability, prune mode and collapse mode — is
 never re-simulated across runs, processes or machines sharing a cache
 directory.
 
@@ -16,7 +16,7 @@ Two record kinds live under the cache root:
 * **verdict records** (``verdicts/``) — the full per-class outcome of
   one component grade (detected set, per-class detections, prune and
   proven sets), additionally keyed by the observability signature, the
-  prune mode, the fault-universe shape and the collapse hash.
+  prune mode, the fault-universe shape and the collapse epoch tag.
 
 Robustness properties, each exercised by the failure-mode tests:
 
@@ -141,7 +141,7 @@ class TraceStore:
         *,
         observe_sig: str,
         prune_mode: str,
-        collapse_hash: str,
+        collapse_epoch: str,
         universe: str,
     ) -> str:
         """Content address of one full-universe component verdict record.
@@ -149,13 +149,17 @@ class TraceStore:
         Every field that could change a verdict (or what the record
         means) participates: netlist structure, stimulus, observability
         signature, prune mode (``"proven"`` changes the denominator),
-        the fault-universe shape and the collapse hash — inferred
-        dominator detections carry collapse-dependent cycle/lane
-        witnesses, so records never cross the collapse boundary.
+        the fault-universe shape and the collapse epoch tag —
+        :data:`repro.analysis.collapse.COLLAPSE_EPOCH` for a collapsed
+        grade, ``""`` for a plain one.  Inferred dominator detections
+        carry collapse-dependent cycle/lane witnesses, so records never
+        cross the collapse boundary.  The tag stands in for the collapse
+        hash: the map is a function of the structure (already keyed) and
+        of the collapse code (the tag), so a lookup needs no map.
         """
         return _digest(
             "verdicts", STORE_EPOCH, structural, stimulus, str(n_entries),
-            observe_sig, prune_mode, collapse_hash, universe,
+            observe_sig, prune_mode, collapse_epoch, universe,
         )
 
     # ------------------------------------------------------------ traces
@@ -501,13 +505,16 @@ def verdict_key_for(
     fault_list: "FaultList",
     *,
     prune_mode: str,
-    collapse_hash: str,
+    collapse_epoch: str,
 ) -> str:
     """The store key of one full-universe component grade.
 
-    Shared by :func:`repro.faultsim.engine.grade` (which checks the
-    store before simulating) and the parallel campaign parent (which
-    checks it before planning shards), so both address the same record.
+    Shared by :func:`repro.faultsim.engine.grade` and the campaign
+    planner, which both check the store before collapsing, resolving an
+    engine or simulating, so both address the same record.
+    ``collapse_epoch`` is :data:`repro.analysis.collapse.COLLAPSE_EPOCH`
+    when the grade runs through a collapse map (computed or passed in)
+    and ``""`` otherwise.
     """
     from repro.faultsim.trace_cache import global_trace_cache
 
@@ -519,6 +526,6 @@ def verdict_key_for(
         structural, stim_hash, n_entries,
         observe_sig=plan.signature(),
         prune_mode=prune_mode,
-        collapse_hash=collapse_hash,
+        collapse_epoch=collapse_epoch,
         universe=f"{fault_list.n_prime}:{fault_list.n_collapsed}",
     )

@@ -142,3 +142,134 @@ class TestCanonicalOrdering:
         assert [
             (f.kind, f.net, f.stuck, f.gate, f.pin) for f in one.faults
         ] == [(f.kind, f.net, f.stuck, f.gate, f.pin) for f in two.faults]
+
+
+def _reference_fault_list(netlist, collapse=True):
+    """The original enumeration: every fault added through a dedup map.
+
+    Kept verbatim so the direct-append enumeration is compared against
+    it; the dedup never fires (stems come from unique nets, branches
+    from unique ``(gate, pin)`` pairs, DFF-D faults from one DFF each).
+    """
+    from repro.faultsim.faults import (
+        _EQUIVALENCE, Fault, _UnionFind,
+    )
+    from repro.netlist.netlist import CONST0, CONST1
+
+    faults = []
+    index_of = {}
+
+    def add(fault):
+        key = (fault.kind, fault.net, fault.stuck, fault.gate, fault.pin)
+        if key in index_of:
+            return index_of[key]
+        index_of[key] = len(faults)
+        faults.append(fault)
+        return index_of[key]
+
+    fanout_count = {}
+    for gate in netlist.gates:
+        for net in gate.inputs:
+            fanout_count[net] = fanout_count.get(net, 0) + 1
+    for dff in netlist.dffs:
+        fanout_count[dff.d] = fanout_count.get(dff.d, 0) + 1
+    for port in netlist.output_ports():
+        for net in port.nets:
+            fanout_count[net] = fanout_count.get(net, 0) + 1
+    live_nets = set(fanout_count)
+    for gate in netlist.gates:
+        live_nets.add(gate.output)
+    for dff in netlist.dffs:
+        live_nets.add(dff.q)
+    for port in netlist.input_ports():
+        live_nets.update(port.nets)
+    live_nets.discard(CONST0)
+    live_nets.discard(CONST1)
+    for net in sorted(live_nets):
+        for stuck in (0, 1):
+            add(Fault(FaultKind.STEM, net, stuck))
+    for gate in netlist.gates:
+        for pin, net in enumerate(gate.inputs):
+            if net in (CONST0, CONST1):
+                continue
+            if fanout_count.get(net, 0) > 1:
+                for stuck in (0, 1):
+                    add(Fault(FaultKind.BRANCH, net, stuck,
+                              gate=gate.index, pin=pin))
+    for dff in netlist.dffs:
+        net = dff.d
+        if net in (CONST0, CONST1):
+            continue
+        if fanout_count.get(net, 0) > 1:
+            for stuck in (0, 1):
+                add(Fault(FaultKind.DFF_D, net, stuck, gate=dff.index))
+
+    uf = _UnionFind(len(faults))
+    if collapse:
+        def stem(net, stuck):
+            return index_of.get((FaultKind.STEM, net, stuck, -1, -1))
+
+        for gate in netlist.gates:
+            for in_stuck, out_stuck in _EQUIVALENCE.get(gate.gtype, ()):
+                out_fault = stem(gate.output, out_stuck)
+                if out_fault is None:
+                    continue
+                for pin, net in enumerate(gate.inputs):
+                    if net in (CONST0, CONST1):
+                        continue
+                    if fanout_count.get(net, 0) > 1:
+                        pin_fault = index_of.get((
+                            FaultKind.BRANCH, net, in_stuck, gate.index, pin
+                        ))
+                    else:
+                        pin_fault = stem(net, in_stuck)
+                    if pin_fault is not None:
+                        uf.union(out_fault, pin_fault)
+    representative = [uf.find(i) for i in range(len(faults))]
+    classes = {}
+    for i, rep in enumerate(representative):
+        classes.setdefault(rep, []).append(i)
+    return faults, representative, classes
+
+
+def _random_netlist(seed):
+    """Random sequential netlist exercising every enumeration corner.
+
+    Constant-driven pins, one net on several pins of a gate, DFFs whose
+    D net fans out (DFF-D faults) or is a constant, output ports that
+    expose inputs, register outputs and feedback through state.
+    """
+    import random
+
+    from repro.netlist.gates import GateType
+    from repro.netlist.netlist import CONST0, CONST1, Netlist
+
+    rng = random.Random(seed)
+    nl = Netlist(f"enum{seed}")
+    nets = nl.add_input("x", 4) + [CONST0, CONST1]
+    arity = {GateType.NOT: 1, GateType.BUF: 1, GateType.MUX2: 3,
+             GateType.AOI21: 3}
+    for _ in range(rng.randrange(5, 40)):
+        if rng.random() < 0.15:
+            nets.append(nl.add_dff(rng.choice(nets), init=rng.randrange(2)))
+            continue
+        gtype = rng.choice(list(GateType))
+        n_in = arity.get(gtype, rng.choice((2, 3)))
+        nets.append(nl.add_gate(gtype, [rng.choice(nets) for _ in range(n_in)]))
+    outs = [n for n in nets if rng.random() < 0.3] or [nets[-1]]
+    nl.add_output("y", outs)
+    return nl
+
+
+class TestEnumerationMatchesReference:
+    def test_random_netlists_match_the_dedup_enumeration(self):
+        for seed in range(200):
+            nl = _random_netlist(seed)
+            for collapse in (True, False):
+                faults, representative, classes = _reference_fault_list(
+                    nl, collapse
+                )
+                fl = build_fault_list(nl, collapse=collapse)
+                assert fl.faults == faults, seed
+                assert fl.representative == representative, seed
+                assert fl.classes == classes, seed

@@ -87,3 +87,81 @@ class TestEngineRepresentations:
         netlist = two_output_netlist()
         plan = ObservePlan.from_spec([{"y": 0}], 1, netlist)
         assert plan.packed_net_masks(netlist) == {}
+
+
+def _reference_entries(observe):
+    """The per-item normalization every entry used to go through."""
+    entries = []
+    for raw in observe:
+        if isinstance(raw, dict):
+            items = [(str(k), int(v)) for k, v in raw.items()]
+        else:
+            items = [(str(name), None) for name in raw]
+        entries.append(tuple(sorted(items)))
+    return tuple(entries)
+
+
+def _reference_signature(plan):
+    """The per-item digest loop :meth:`ObservePlan.signature` must match."""
+    import hashlib
+
+    digest = hashlib.blake2b(digest_size=12)
+    digest.update(str(plan.n_entries).encode())
+    for entry in plan.entries:
+        digest.update(b"|")
+        for name, lane_mask in entry:
+            mask = "*" if lane_mask is None else format(lane_mask, "x")
+            digest.update(f"{name}={mask};".encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def phase_a_specs():
+    from repro.core.campaign import execute_self_test
+    from repro.core.methodology import SelfTestMethodology
+
+    _, tracer, _ = execute_self_test(
+        SelfTestMethodology().build_program("A")
+    )
+    return tracer.finalize()
+
+
+class TestDistinctEntries:
+    @pytest.mark.parametrize("name", ["RegF", "PCL"])
+    def test_phase_a_plan_matches_per_item_normalization(
+        self, phase_a_specs, name
+    ):
+        from repro.plasma.components import component
+
+        stimulus, observe = phase_a_specs[name]
+        plan = ObservePlan.from_spec(
+            observe, len(stimulus), component(name).builder()
+        )
+        assert plan.entries == _reference_entries(observe)
+        assert plan.signature() == _reference_signature(plan)
+        # Equal entries share one tuple object.
+        assert len({id(e) for e in plan.entries}) == len(set(plan.entries))
+
+    def test_mixed_forms_match_per_item_normalization(self):
+        observe = [("z", "y"), {"y": 3}, ["y", "z"], ("z", "y"), {"y": 3},
+                   (), {"z": 0, "y": 1}, ("y",)]
+        plan = ObservePlan.from_spec(observe, len(observe))
+        assert plan.entries == _reference_entries(observe)
+        assert plan.signature() == _reference_signature(plan)
+        assert plan.entries[0] is plan.entries[2] is plan.entries[3]
+        assert plan.entries[1] is plan.entries[4]
+
+    def test_equal_names_with_different_text_stay_apart(self):
+        plan = ObservePlan.from_spec([(1,), (True,), (1,)], 3)
+        assert plan.entries == (
+            (("1", None),), (("True", None),), (("1", None),),
+        )
+
+    def test_bad_port_in_repeated_entry_still_raises(self):
+        netlist = two_output_netlist()
+        with pytest.raises(FaultSimError, match="'nope' is not an output"):
+            ObservePlan.from_spec(
+                [("y",), ("y",), ("y", "nope"), ("y", "nope")], 4, netlist
+            )
+        with pytest.raises(FaultSimError, match="negative lane mask"):
+            ObservePlan.from_spec([{"y": 1}, {"y": 1}, {"y": -1}], 3)

@@ -284,3 +284,115 @@ class TestCampaignIntegration:
         assert off.cached_components == []
         # ...but identical Table 5 answers either way.
         _assert_same_verdicts(on.results["CTRL"], off.results["CTRL"])
+
+
+@pytest.fixture(scope="module")
+def ctrl_spec():
+    """CTRL's netlist and traced phase-A ``(stimulus, observe)``."""
+    from repro.core.campaign import execute_self_test
+    from repro.core.methodology import SelfTestMethodology
+    from repro.plasma.components import component
+
+    _, tracer, _ = execute_self_test(
+        SelfTestMethodology().build_program("A")
+    )
+    stimulus, observe = tracer.finalize()["CTRL"]
+    return component("CTRL").builder, stimulus, observe
+
+
+def _count_analysis(monkeypatch):
+    """Count collapse maps built, engines resolved and prune sets made."""
+    import repro.analysis.collapse as collapse_mod
+    import repro.core.campaign as campaign_mod
+    import repro.core.sharded as sharded_mod
+    import repro.faultsim.engine as engine_mod
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        collapse_mod, "compute_collapse",
+        counting("compute_collapse", collapse_mod.compute_collapse),
+    )
+    for module in (engine_mod, campaign_mod, sharded_mod):
+        monkeypatch.setattr(
+            module, "resolve_engine",
+            counting("resolve_engine", engine_mod.resolve_engine),
+        )
+    for module in (engine_mod, sharded_mod):
+        monkeypatch.setattr(
+            module, "prune_sets",
+            counting("prune_sets", engine_mod.prune_sets),
+        )
+    return calls
+
+
+class TestStoreHitSkipsAnalysis:
+    """A store hit costs the fault list and one record read, nothing more."""
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=("in-process", "jobs2"))
+    def test_warm_campaign_builds_no_map_and_no_engine(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        from repro.runtime import RuntimeConfig
+
+        runtime = None if jobs is None else RuntimeConfig(jobs=jobs)
+        opts = GradeOptions(cache=TraceStore(tmp_path), collapse=True)
+        components = ["CTRL", "GL"]
+        cold = run_campaign(
+            "A", components=components, options=opts, runtime=runtime
+        )
+        calls = _count_analysis(monkeypatch)
+        warm = run_campaign(
+            "A", components=components, options=opts, runtime=runtime
+        )
+        assert sorted(warm.cached_components) == components
+        assert calls == []
+        for name in components:
+            assert warm.results[name].detections == \
+                cold.results[name].detections
+            assert warm.results[name].collapse_hash == \
+                cold.results[name].collapse_hash
+        assert warm.table5() == cold.table5()
+
+    def test_grade_hit_builds_no_map_and_no_engine(
+        self, tmp_path, monkeypatch
+    ):
+        netlist = build_alu(width=4)
+        opts = GradeOptions(cache=TraceStore(tmp_path), collapse=True)
+        cold = grade(netlist, _alu_patterns(), options=opts)
+        calls = _count_analysis(monkeypatch)
+        warm = grade(netlist, _alu_patterns(), options=opts)
+        assert warm.cache_hit
+        assert calls == []
+        assert warm.detections == cold.detections
+
+    def test_grade_record_replays_in_campaign_and_with_a_map(
+        self, tmp_path, ctrl_spec
+    ):
+        from repro.analysis.collapse import compute_collapse
+
+        builder, stimulus, observe = ctrl_spec
+        store = TraceStore(tmp_path)
+        cold = grade(builder(), stimulus, options=GradeOptions(
+            collapse=True, cache=store, observe=observe, name="CTRL",
+        ))
+        assert not cold.cache_hit
+        outcome = run_campaign("A", components=["CTRL"], options=GradeOptions(
+            collapse=True, cache=store,
+        ))
+        assert outcome.cached_components == ["CTRL"]
+        assert outcome.results["CTRL"].detections == cold.detections
+        netlist = builder()
+        cmap = compute_collapse(netlist, build_fault_list(netlist))
+        mapped = grade(netlist, stimulus, options=GradeOptions(
+            collapse=cmap, cache=store, observe=observe, name="CTRL",
+        ))
+        assert mapped.cache_hit
+        assert mapped.detections == cold.detections
+        assert mapped.collapse_hash == cmap.collapse_hash
