@@ -141,7 +141,7 @@ def _grade_options(args: argparse.Namespace) -> GradeOptions:
 
 
 def _campaign_runtime(args: argparse.Namespace) -> RuntimeConfig | None:
-    """Build the resilient-runner config from CLI flags (None = serial)."""
+    """Build the shard-scheduler config from CLI flags (None = in process)."""
     wants_runtime = (
         args.checkpoint is not None
         or args.resume
@@ -535,8 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attempts per shard (one shard per component at "
                           "--jobs 1) before degrading (default 3)")
     p_c.add_argument("--isolate", action="store_true",
-                     help="force the resilient runner (worker-process "
-                          "isolation) even without --checkpoint/--timeout")
+                     help="force the shard scheduler's worker pool "
+                          "(process isolation) even without "
+                          "--checkpoint/--timeout")
     p_c.add_argument("--no-isolate", action="store_true",
                      help="run grading jobs in-process (no timeouts)")
     p_c.add_argument("--prune-untestable", action="store_true",

@@ -64,8 +64,7 @@ from repro.plasma.tracer import ComponentTracer
 from repro.runtime.events import JobEvent
 from repro.runtime.policy import RuntimeConfig
 from repro.runtime.pool import ShardScheduler
-from repro.runtime.runner import JobOutcome
-from repro.runtime.sharding import ShardTask, plan_shards
+from repro.runtime.sharding import JobOutcome, ShardTask, plan_shards
 
 #: Optional netlist -> netlist rewrite applied before grading.
 NetlistTransform = Callable[[Netlist], Netlist]
@@ -489,7 +488,7 @@ def grade_traced(
         scheduler = ShardScheduler(
             runtime, initializer=install_shard_context, initargs=(context,)
         )
-        journal_path = getattr(scheduler.runner.checkpoint, "path", None)
+        journal_path = getattr(scheduler.checkpoint, "path", None)
     # On the pool every component is planned up front so the workers
     # interleave their shards; in process one component at a time is
     # planned, graded and merged, so only its state is alive.

@@ -11,8 +11,7 @@ component's fault universe into contiguous shards
   installed in the thread that grades shards: the campaign's own thread
   in process, every pool worker otherwise.  Forked workers inherit it by
   memory, so multi-megabyte traces are never pickled; under ``spawn`` the
-  pool initializer ships it (then the transform must be picklable,
-  mirroring :mod:`repro.runtime.worker`).
+  pool initializer ships it (then the transform must be picklable).
 * the **shard job** (:func:`grade_shard`) with a component cache held by
   the context: the first shard of a component builds its netlist, fault
   list, observe plan, engine and prune sets **once per process**; every

@@ -53,64 +53,22 @@ class WatchdogTimeout(SimulationError):
 class ReproRuntimeError(ReproError, RuntimeError):
     """Base class for campaign-runtime failures (job execution machinery).
 
-    These errors describe how a *job* failed — timeout, worker death,
-    journal damage — rather than a defect in the library itself.  They
-    also derive from the builtin :class:`RuntimeError` so generic runtime
-    handlers catch them.
+    These errors describe what went wrong around the grading work —
+    cancellation, journal damage — rather than a defect in the library
+    itself.  They also derive from the builtin :class:`RuntimeError` so
+    generic runtime handlers catch them.
     """
-
-
-class GradingTimeout(ReproRuntimeError):
-    """A fault-grading job exceeded its wall-clock timeout.
-
-    Carries the job name and the budget that was exhausted.
-    """
-
-    def __init__(self, job: str, timeout_seconds: float):
-        self.job = job
-        self.timeout_seconds = timeout_seconds
-        super().__init__(
-            f"job {job!r} exceeded its {timeout_seconds:g}s wall-clock budget"
-        )
-
-
-class WorkerCrash(ReproRuntimeError):
-    """An isolated worker process died without reporting a result.
-
-    Carries the process exit code when known (negative = killed by
-    signal, following POSIX convention).
-    """
-
-    def __init__(self, job: str, exitcode: int | None = None):
-        self.job = job
-        self.exitcode = exitcode
-        detail = f" (exit code {exitcode})" if exitcode is not None else ""
-        super().__init__(f"worker for job {job!r} died{detail}")
-
-
-class JobFailed(ReproRuntimeError):
-    """A job raised an exception (in-process or inside its worker).
-
-    Carries the original exception type name and message; the traceback
-    itself stays in the worker.
-    """
-
-    def __init__(self, job: str, exc_type: str, detail: str):
-        self.job = job
-        self.exc_type = exc_type
-        self.detail = detail
-        super().__init__(f"job {job!r} failed: {exc_type}: {detail}")
 
 
 class JobCancelled(ReproRuntimeError):
     """A campaign run was cancelled through its ``RuntimeConfig.cancel``
     hook.
 
-    Raised by :class:`~repro.runtime.runner.JobRunner` between jobs and
-    by :class:`~repro.runtime.pool.ShardScheduler` between scheduler
-    iterations once the hook reports cancellation.  Work journaled
-    before the cancellation stays valid: a resumed run re-grades exactly
-    the units that had not completed.
+    Raised by :class:`~repro.runtime.pool.ShardScheduler` before an
+    attempt (in process) or between scheduler iterations (on the pool)
+    once the hook reports cancellation.  Work journaled before the
+    cancellation stays valid: a resumed run re-grades exactly the shards
+    that had not completed.
     """
 
     def __init__(self, job: str = ""):

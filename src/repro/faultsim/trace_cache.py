@@ -20,8 +20,8 @@ into a single cycle) and ``"sequence"`` (a single-lane cycle walk).
 
 Entries are kept LRU-bounded — good traces of large sequential components
 are memory-heavy, so only a handful stay resident.  Worker processes
-forked by :mod:`repro.runtime.worker` inherit the parent's entries but
-reset the hit/miss counters so per-job statistics stay coherent.
+forked by :mod:`repro.runtime.pool` inherit the parent's entries but
+reset the hit/miss counters so per-worker statistics stay coherent.
 """
 
 from __future__ import annotations
@@ -246,7 +246,7 @@ def _register_child_hook() -> None:
     # Forked grading workers inherit warm entries but start their own
     # hit/miss accounting.  Registered lazily so importing faultsim does
     # not drag the runtime package in at module-import time.
-    from repro.runtime.worker import register_child_init_hook
+    from repro.runtime.pool import register_child_init_hook
 
     register_child_init_hook(_child_init)
 

@@ -1,7 +1,7 @@
 """Crash-safe JSONL checkpoint journal for campaign results.
 
 Each completed job appends exactly one JSON line — ``{"key", "fingerprint",
-"record"}`` — flushed and fsynced before the runner moves on, so the journal
+"record"}`` — flushed and fsynced before the scheduler moves on, so the journal
 survives a SIGKILL mid-campaign.  A crash *during* the append can at worst
 leave one torn final line, which :meth:`CheckpointStore.load` silently
 discards; corruption anywhere else is reported (strict mode) or skipped and

@@ -1,10 +1,10 @@
 """Structured per-job event log for campaign health auditing.
 
-Every job the runner touches emits a small, machine-readable event stream
-(start / retry / success / failure / timeout / crash / cached / degraded)
-with attempt numbers and wall-clock durations.  Benchmarks and CI read the
-stream to decide whether a campaign ran clean, limped through retries, or
-degraded.
+Every shard the scheduler touches emits a small, machine-readable event
+stream (start / retry / success / failure / timeout / crash / cached /
+degraded) with attempt numbers and wall-clock durations.  Benchmarks and
+CI read the stream to decide whether a campaign ran clean, limped through
+retries, or degraded.
 
 The log is also a live feed: :meth:`EventLog.subscribe` registers a
 callback invoked synchronously on every :meth:`EventLog.emit`, from
@@ -28,7 +28,8 @@ from pathlib import Path
 #: permanently failed and the campaign continued without it.  The last
 #: four kinds (``queued`` / ``running`` / ``finished`` / ``cancelled``)
 #: are emitted by the campaign service for whole-campaign lifecycle
-#: transitions; the runner and scheduler never emit them.
+#: transitions; of these the shard scheduler emits only ``cancelled``,
+#: once per shard a cancellation abandons.
 EVENT_KINDS = (
     "start",
     "retry",

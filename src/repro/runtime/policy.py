@@ -1,4 +1,4 @@
-"""Retry and runtime configuration for the resilient job runner."""
+"""Retry and runtime configuration for the shard scheduler."""
 
 from __future__ import annotations
 
@@ -51,17 +51,18 @@ class RuntimeConfig:
 
     Attributes:
         timeout_seconds: wall-clock budget per job attempt (None = no
-            limit).  Enforced only for isolated jobs — an in-process job
+            limit).  Enforced only on the pool — an in-process shard
             cannot be interrupted from the outside.
         retry: the retry/backoff policy.
         checkpoint_dir: directory for the crash-safe JSONL journal (and
             the event log); None disables checkpointing.
         resume: reuse journaled results from ``checkpoint_dir`` instead
             of starting the journal afresh.
-        isolate: run jobs in worker processes (one per job under
-            :class:`~repro.runtime.runner.JobRunner`, a persistent pool
-            under :class:`~repro.runtime.pool.ShardScheduler`);
-            ``False`` runs them in the calling process.
+        isolate: which executor the
+            :class:`~repro.runtime.pool.ShardScheduler` hands attempts
+            to: a persistent pool of worker processes (crash containment,
+            timeouts), or — ``False`` — the calling process, one shard
+            after another.  Both share one attempt loop.
         sleep: injectable sleep function (tests replace it to avoid
             real backoff waits).
         jobs: worker-process count for the sharded scheduler.  ``1``
@@ -72,21 +73,20 @@ class RuntimeConfig:
             to ``jobs=1``.  A timeout applies per shard attempt, which
             at ``jobs=1`` is per component.
         cancel: cooperative cancellation hook — a zero-argument callable
-            polled by :class:`~repro.runtime.runner.JobRunner` before
-            every job attempt and by
-            :class:`~repro.runtime.pool.ShardScheduler` on every
-            scheduler iteration.  Once it returns True the run raises
+            polled by the :class:`~repro.runtime.pool.ShardScheduler`
+            before every in-process attempt and on every pool scheduler
+            iteration.  Once it returns True every shard not yet graded
+            gets a ``cancelled`` event and the run raises
             :class:`~repro.errors.JobCancelled`; busy pool workers are
             killed, and everything journaled up to that point remains
             valid for ``resume``.  ``None`` (the default) never cancels.
             The hook is parent-side only: it is dropped when the config
             is pickled into a worker.
-        events: an externally owned :class:`EventLog` the runner and
-            scheduler emit into, so a caller (the campaign service) can
+        events: an externally owned :class:`EventLog` the scheduler
+            emits into, so a caller (the campaign service) can
             :meth:`~EventLog.subscribe` *before* the campaign starts and
-            stream every transition live.  ``None`` lets the runner
-            create its own log as before.  Dropped on pickling, like
-            ``cancel``.
+            stream every transition live.  ``None`` lets the scheduler
+            create its own log.  Dropped on pickling, like ``cancel``.
     """
 
     timeout_seconds: float | None = None

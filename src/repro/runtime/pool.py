@@ -1,23 +1,27 @@
-"""Persistent worker pool and the sharded campaign scheduler.
+"""Shard execution: the persistent worker pool and the shard scheduler.
 
-:mod:`repro.runtime.worker` isolates *one job per process* — perfect for
-containing a crash, wasteful for throughput: every job pays a process
-start plus a cold rebuild of everything the job needs.  This module adds
-the throughput half of the runtime:
+:class:`ShardScheduler` is the one thing that runs shards.  It owns the
+checkpoint journal, the event log and a single attempt loop, and hands
+each attempt to one of two executors chosen by
+:attr:`~repro.runtime.policy.RuntimeConfig.isolate`:
 
-* :class:`WorkerPool` — ``jobs`` long-lived worker processes.  Each
-  worker receives ``(fn, args)`` tasks over its own duplex pipe and keeps
-  executing tasks until told to stop, so per-process state (built
-  netlists, compiled engine kernels, good-trace caches) is paid once per
-  worker and amortized over every shard it grades.
-* :class:`ShardScheduler` — drives a list of
-  :class:`~repro.runtime.sharding.ShardTask` through the pool with the
-  same resilience contract as :class:`~repro.runtime.runner.JobRunner`:
-  journaled shards are reused (``cached``), each attempt has a wall-clock
-  budget, timeouts / crashes / job errors are retried with backoff, and a
-  shard that exhausts its attempts yields a ``failed`` outcome instead of
-  aborting the run.  Successes are journaled at shard granularity, so a
-  resumed campaign skips exactly the shards that completed.
+* **the pool** (``isolate=True``) — a :class:`WorkerPool` of ``jobs``
+  long-lived worker processes.  Each worker receives ``(fn, args)``
+  tasks over its own duplex pipe and keeps executing tasks until told to
+  stop, so per-process state (built netlists, compiled engine kernels,
+  good-trace caches) is paid once per worker and amortized over every
+  shard it grades.  Each attempt has a wall-clock budget; a worker that
+  times out or crashes is killed and **replaced**, so only the shard it
+  was executing is affected, never the shards other workers completed.
+* **in process** (``isolate=False``) — the shards run one after another
+  in the calling thread, with no timeout.
+
+Both executors share the rest of the contract: journaled shards are
+reused (``cached``), timeouts / crashes / job errors count as failed
+attempts that are retried with backoff, and a shard that exhausts its
+attempts yields a ``failed`` outcome instead of aborting the run.
+Successes are journaled at shard granularity, so a resumed campaign
+skips exactly the shards that completed.
 
 Load balancing is parent-driven: the scheduler keeps a FIFO of eligible
 tasks and hands the next one to whichever worker goes idle first, so a
@@ -25,20 +29,16 @@ slow shard on one worker never stalls the rest of the queue
 (oversubscription — more shards than workers — gives the queue room to
 balance; see :func:`repro.runtime.sharding.plan_shards`).
 
-A worker that times out or crashes is killed and **replaced**; only the
-shard it was executing is affected (retried, then degraded), never the
-shards other workers already completed.
-
 The ``fork`` start method is preferred (workers inherit the parent's
 memory, so the campaign context — traced stimulus, netlist transforms —
 needs no pickling); under ``spawn`` the pool initializer and every task
-must be picklable, mirroring :mod:`repro.runtime.worker`.
+must be picklable.
 """
 
 from __future__ import annotations
 
 import contextlib
-
+import multiprocessing as mp
 import time
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -46,15 +46,62 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from repro.errors import CheckpointCorrupt, JobCancelled, ReproRuntimeError
+from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.events import EventLog
 from repro.runtime.policy import RuntimeConfig
-from repro.runtime.runner import JobOutcome, JobRunner
-from repro.runtime.sharding import ShardTask
-from repro.runtime.worker import _CTX, _reap, run_child_init_hooks
+from repro.runtime.sharding import JobOutcome, ShardTask
+
+_CTX = mp.get_context(
+    "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+)
+
+#: Grace period for a terminated worker to exit before SIGKILL.
+_TERMINATE_GRACE = 2.0
+
+#: Callbacks run inside every freshly started worker before its first
+#: task.  Used by process-wide caches (e.g. the fault-sim good-trace
+#: cache) to reset per-process statistics that a fork would otherwise
+#: duplicate.
+_CHILD_INIT_HOOKS: list[Callable[[], None]] = []
+
+
+def register_child_init_hook(hook: Callable[[], None]) -> None:
+    """Run ``hook()`` at the start of every worker process.
+
+    Hooks must be cheap and exception-safe; a raising hook is swallowed
+    (a broken cache reset must not take the worker down with it).  Under
+    the ``spawn`` start method hooks only run if their registering module
+    is imported by the worker itself.
+    """
+    if hook not in _CHILD_INIT_HOOKS:
+        _CHILD_INIT_HOOKS.append(hook)
+
+
+def _reap(proc: mp.process.BaseProcess) -> None:
+    """Stop a worker that is no longer wanted, escalating politely."""
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(_TERMINATE_GRACE)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(_TERMINATE_GRACE)
+
+
+def _exit_code(proc: mp.process.BaseProcess) -> int | None:
+    """Exit code of a worker that has died.
+
+    Its pipe and sentinel can signal before the process is reaped, when
+    ``exitcode`` still reads ``None``; wait for the exit first.
+    """
+    proc.join(_TERMINATE_GRACE)
+    return proc.exitcode
 
 
 def _pool_worker(conn, initializer, initargs) -> None:
     """Worker main loop: execute ``(fn, args)`` tasks until ``None``."""
-    run_child_init_hooks()
+    for hook in _CHILD_INIT_HOOKS:
+        with contextlib.suppress(Exception):
+            hook()
     if initializer is not None:
         initializer(*initargs)
     while True:
@@ -129,7 +176,6 @@ class _Pending:
     task: ShardTask
     attempt: int = 0  # attempts already consumed
     eligible_at: float = 0.0  # monotonic time before which it must wait
-    last_error: str = ""
 
 
 class WorkerPool:
@@ -181,16 +227,14 @@ class WorkerPool:
 
 
 class ShardScheduler:
-    """Run shard tasks over a :class:`WorkerPool` with the resilience
-    contract of :class:`~repro.runtime.runner.JobRunner`.
+    """Run shard tasks resiliently under one :class:`RuntimeConfig`.
 
-    The scheduler owns a :class:`JobRunner` for its checkpoint /
-    event-log plumbing (journal loading honours ``resume``, records are
-    fingerprint-guarded, malformed entries surface as
-    :class:`~repro.errors.CheckpointCorrupt`).  With isolation on,
-    execution is pooled rather than one-process-per-job; with
-    ``isolate=False`` the runner executes the shards in process, one
-    after another.
+    Construction wires the journal and the event log: with a
+    ``checkpoint_dir`` the journal is loaded in recovery mode when
+    ``resume`` is set (undecodable entries are skipped, so their shards
+    re-grade) and reset otherwise; the event log is the config's
+    externally owned one when given, else a fresh log, either way
+    writing next to the journal.
     """
 
     def __init__(
@@ -204,12 +248,27 @@ class ShardScheduler:
         self.jobs = jobs if jobs is not None else max(1, self.config.jobs)
         self.initializer = initializer
         self.initargs = initargs
-        self.runner = JobRunner(self.config)
-
-    @property
-    def events(self):
-        """The structured event log (shared with the inner runner)."""
-        return self.runner.events
+        self.checkpoint: CheckpointStore | None = None
+        #: Journaled ``key -> {"fingerprint", "record"}`` available for
+        #: reuse, kept current as this scheduler journals new shards.
+        self._completed: dict[str, dict] = {}
+        events_path = None
+        if self.config.checkpoint_dir is not None:
+            self.checkpoint = CheckpointStore(self.config.checkpoint_dir)
+            if self.config.resume:
+                self._completed = self.checkpoint.load(strict=False)
+            else:
+                self.checkpoint.reset()
+            events_path = self.checkpoint.events_path
+        if self.config.events is not None:
+            # Externally owned log (the campaign service subscribes to it
+            # before grading starts); give it the journal sink if it has
+            # none of its own.
+            self.events = self.config.events
+            if self.events.path is None:
+                self.events.path = events_path
+        else:
+            self.events = EventLog(path=events_path)
 
     # ------------------------------------------------------------- run
 
@@ -220,11 +279,20 @@ class ShardScheduler:
     ) -> dict[str, JobOutcome]:
         """Execute every task; never raises for per-shard failures.
 
+        Args:
+            serialize: result -> JSON-safe dict for the journal.  Without
+                it, successes are journaled with an empty record.
+
         Returns:
             ``{task.key: JobOutcome}`` — ``cached`` (journaled result
-            reused), ``ok`` (graded in a pool worker, or in process when
-            the config turns isolation off) or ``failed`` (attempts
-            exhausted; only this shard is lost).
+            with a matching fingerprint reused), ``ok`` (graded in a pool
+            worker, or in process when the config turns isolation off)
+            or ``failed`` (attempts exhausted; only this shard is lost).
+
+        Raises:
+            CheckpointCorrupt: two tasks share a key.
+            JobCancelled: the config's cancel hook fired; every shard
+                not yet graded gets a ``cancelled`` event first.
         """
         keys = [t.key for t in tasks]
         if len(set(keys)) != len(keys):
@@ -232,38 +300,25 @@ class ShardScheduler:
             raise CheckpointCorrupt(
                 f"duplicate shard keys would collide in the journal: {dup}",
                 key=dup[0],
-                path=getattr(self.runner.checkpoint, "path", None),
+                path=self.checkpoint.path if self.checkpoint else None,
             )
         outcomes: dict[str, JobOutcome] = {}
         pending: list[_Pending] = []
         for task in tasks:
-            try:
-                record = self.runner.cached_record(task.key, task.fingerprint)
-            except CheckpointCorrupt:
-                # Journal entry unusable: distrust it and re-grade the
-                # shard (the fresh record wins on the next resume).
-                self.runner.invalidate(task.key)
-                record = None
-            if record is not None:
+            cached = self._completed.get(task.key)
+            if cached is not None and cached["fingerprint"] == task.fingerprint:
                 self.events.emit(
                     task.key, "cached", detail="journaled shard reused"
                 )
                 outcomes[task.key] = JobOutcome(
-                    task.key, "cached", record=record
+                    task.key, "cached", record=cached["record"]
                 )
             else:
                 pending.append(_Pending(task))
         if not pending:
             return outcomes
         if not self.config.isolate:
-            # In process: the runner's own attempt loop stands in for the
-            # pool (retries and degradation, no timeout).
-            for entry in pending:
-                task = entry.task
-                outcomes[task.key] = self.runner.run(
-                    task.key, task.fn, task.args,
-                    fingerprint=task.fingerprint, serialize=serialize,
-                )
+            self._run_in_process(pending, outcomes, serialize)
             return outcomes
 
         pool = WorkerPool(
@@ -274,33 +329,49 @@ class ShardScheduler:
         try:
             self._drive(pool, pending, outcomes, serialize)
         finally:
+            # Also terminates busy workers when cancellation unwinds.
             pool.stop()
         return outcomes
 
-    # ----------------------------------------------------------- loop
+    # ---------------------------------------------------------- loops
+
+    def _run_in_process(self, pending, outcomes, serialize) -> None:
+        """The in-process executor: one attempt at a time, FIFO."""
+        while pending:
+            now = time.monotonic()
+            entry = self._next_eligible(pending, now) or min(
+                pending, key=lambda p: p.eligible_at
+            )
+            delay = entry.eligible_at - now
+            if delay > 0:
+                self.config.sleep(delay)
+            self._cancel_if_requested([], pending)
+            pending.remove(entry)
+            task = entry.task
+            entry.attempt += 1
+            self.events.emit(task.key, "start", attempt=entry.attempt)
+            started = time.perf_counter()
+            try:
+                value = task.fn(*task.args)
+            except Exception as exc:
+                self._retry_or_fail(
+                    entry, pending, outcomes, "failure",
+                    f"shard {task.key!r} failed: "
+                    f"{type(exc).__name__}: {exc}",
+                )
+            else:
+                self._succeed(
+                    entry, value, time.perf_counter() - started,
+                    outcomes, serialize,
+                )
 
     def _drive(self, pool, pending, outcomes, serialize) -> None:
+        """The pool executor: keep every worker busy until done."""
         while pending or any(w.busy for w in pool.workers):
-            if self.config.cancelled():
-                # Cooperative cancellation: kill the busy workers (their
-                # in-flight shards are abandoned, not journaled) and
-                # surface JobCancelled.  Completed shards are already in
-                # the journal, so a resumed run re-grades exactly the
-                # abandoned + never-started ones.
-                interrupted = [
-                    w.pending.task.key for w in pool.workers if w.busy
-                ]
-                for key in interrupted:
-                    self.events.emit(
-                        key, "cancelled", detail="shard abandoned mid-run"
-                    )
-                for entry in pending:
-                    self.events.emit(
-                        entry.task.key, "cancelled",
-                        detail="shard never started",
-                    )
-                pool.stop()  # terminates busy workers (SIGTERM, then KILL)
-                raise JobCancelled(interrupted[0] if interrupted else "")
+            self._cancel_if_requested(
+                [w.pending.task.key for w in pool.workers if w.busy],
+                pending,
+            )
             now = time.monotonic()
             for worker in pool.workers:
                 if worker.busy:
@@ -337,7 +408,7 @@ class ShardScheduler:
                     self._fail_attempt(
                         worker, pool, pending, outcomes, "crash",
                         f"worker for shard {worker.pending.task.key!r} "
-                        f"died (exit code {worker.proc.exitcode})",
+                        f"died (exit code {_exit_code(worker.proc)})",
                     )
             budget = self.config.timeout_seconds
             if budget is not None:
@@ -349,6 +420,23 @@ class ShardScheduler:
                             f"shard {worker.pending.task.key!r} exceeded "
                             f"its {budget:g}s wall-clock budget",
                         )
+
+    def _cancel_if_requested(self, running, pending) -> None:
+        """Cooperative cancellation: once the hook fires, account for
+        every shard not yet graded and raise :class:`JobCancelled`.
+
+        Nothing is journaled for these shards, so a resumed run
+        re-grades exactly them.
+        """
+        if not self.config.cancelled():
+            return
+        for key in running:
+            self.events.emit(key, "cancelled", detail="shard abandoned mid-run")
+        for entry in pending:
+            self.events.emit(
+                entry.task.key, "cancelled", detail="shard never started"
+            )
+        raise JobCancelled(running[0] if running else "")
 
     def _next_eligible(self, pending, now) -> _Pending | None:
         for entry in pending:
@@ -391,31 +479,39 @@ class ShardScheduler:
             self._fail_attempt(
                 worker, pool, pending, outcomes, "crash",
                 f"worker for shard {task.key!r} died "
-                f"(exit code {worker.proc.exitcode})",
+                f"(exit code {_exit_code(worker.proc)})",
             )
             return
+        worker.pending = None
         if message[0] == "ok":
             _, value, elapsed = message
-            worker.pending = None
-            throughput = task.size / elapsed if elapsed > 0 else None
-            self.events.emit(
-                task.key, "success", attempt=entry.attempt,
-                duration=elapsed, throughput=throughput,
-                detail=f"{task.size} fault classes",
-            )
-            record = serialize(value) if serialize is not None else {}
-            self.runner.journal(task.key, record, task.fingerprint)
-            outcomes[task.key] = JobOutcome(
-                task.key, "ok", value=value, record=record or None,
-                attempts=entry.attempt, elapsed=elapsed,
-            )
+            self._succeed(entry, value, elapsed, outcomes, serialize)
         else:
             _, exc_type, detail = message
-            worker.pending = None
             self._retry_or_fail(
                 entry, pending, outcomes, "failure",
                 f"shard {task.key!r} failed: {exc_type}: {detail}",
             )
+
+    def _succeed(self, entry, value, elapsed, outcomes, serialize) -> None:
+        """Record one successful attempt: event, journal, outcome."""
+        task = entry.task
+        throughput = task.size / elapsed if elapsed > 0 else None
+        self.events.emit(
+            task.key, "success", attempt=entry.attempt,
+            duration=elapsed, throughput=throughput,
+            detail=f"{task.size} fault classes",
+        )
+        record = serialize(value) if serialize is not None else {}
+        if self.checkpoint is not None:
+            self.checkpoint.append(task.key, record, task.fingerprint)
+            self._completed[task.key] = {
+                "fingerprint": task.fingerprint, "record": record,
+            }
+        outcomes[task.key] = JobOutcome(
+            task.key, "ok", value=value, record=record or None,
+            attempts=entry.attempt, elapsed=elapsed,
+        )
 
     def _fail_attempt(
         self, worker, pool, pending, outcomes, kind, error
@@ -432,7 +528,6 @@ class ShardScheduler:
         self.events.emit(
             task.key, kind, attempt=entry.attempt, detail=error,
         )
-        entry.last_error = error
         policy = self.config.retry
         if entry.attempt < policy.max_attempts:
             delay = policy.delay_before_retry(entry.attempt)

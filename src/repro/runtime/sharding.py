@@ -120,8 +120,9 @@ class ShardTask:
         fn: module-level callable executed in a pool worker.  It must be
             picklable by reference (workers receive it over a pipe).
         args: positional arguments (picklable).
-        fingerprint: configuration hash guarding checkpoint reuse, same
-            contract as :meth:`repro.runtime.runner.JobRunner.run`.
+        fingerprint: configuration hash guarding checkpoint reuse: a
+            journaled record is reused only when its fingerprint matches
+            (stale journals from a different program/config re-grade).
         size: number of work items the task covers (fault classes);
             used for the per-shard throughput records in the event log.
     """
@@ -131,3 +132,32 @@ class ShardTask:
     args: tuple[Any, ...] = ()
     fingerprint: str = ""
     size: int = 0
+
+
+@dataclass
+class JobOutcome:
+    """What happened to one :class:`ShardTask`.
+
+    Attributes:
+        key: the task's stable identity.
+        status: ``"ok"`` (ran and succeeded), ``"cached"`` (journaled
+            result reused) or ``"failed"`` (attempts exhausted).
+        value: the task's return value (``ok`` only).
+        record: the serialized record (``ok`` when a serializer is
+            configured, and always for ``cached``).
+        attempts: how many attempts ran (0 for ``cached``).
+        elapsed: wall-clock seconds of the successful attempt.
+        error: human-readable description of the final failure.
+    """
+
+    key: str
+    status: str
+    value: Any = None
+    record: dict[str, Any] | None = None
+    attempts: int = 0
+    elapsed: float = 0.0
+    error: str = ""
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "failed"

@@ -5,8 +5,9 @@ The service's DELETE endpoint rides entirely on two runtime hooks —
 contracts are pinned here at the runtime level, deterministically
 (hanging shards, not real campaigns):
 
-* a fired cancel hook raises :class:`JobCancelled` out of the runner /
-  scheduler;
+* a fired cancel hook raises :class:`JobCancelled` out of the scheduler,
+  on either executor, after a ``cancelled`` event for every shard not
+  yet graded;
 * busy pool workers are actually terminated, not abandoned;
 * everything journaled before the cancellation resumes exactly;
 * subscribers see every event, are dropped on pickle, and cannot break
@@ -23,16 +24,15 @@ from repro.errors import JobCancelled
 from repro.runtime import RetryPolicy, RuntimeConfig
 from repro.runtime.events import EventLog
 from repro.runtime.pool import ShardScheduler
-from repro.runtime.runner import JobRunner
 from repro.runtime.sharding import ShardTask
 
 
-def _config(tmp_path=None, resume=False, cancel=None, jobs=2):
+def _config(tmp_path=None, resume=False, cancel=None, jobs=2, isolate=True):
     return RuntimeConfig(
         retry=RetryPolicy(max_attempts=2, backoff_seconds=0),
         checkpoint_dir=tmp_path,
         resume=resume,
-        isolate=True,
+        isolate=isolate,
         jobs=jobs,
         cancel=cancel,
         sleep=lambda s: None,
@@ -47,6 +47,10 @@ def _fast(x):
 
 def _hang(_x):
     time.sleep(120)
+
+
+def _fails(_x):
+    raise ValueError("attempt fails")
 
 
 class TestSchedulerCancel:
@@ -110,31 +114,56 @@ class TestSchedulerCancel:
 
 class TestRunnerCancel:
     def test_cancel_before_start(self, tmp_path):
-        runner = JobRunner(_config(tmp_path, cancel=lambda: True, jobs=1))
+        scheduler = ShardScheduler(
+            _config(tmp_path, cancel=lambda: True, jobs=1)
+        )
         with pytest.raises(JobCancelled):
-            runner.run("job", _fast, args=(2,))
-        assert "cancelled" in runner.events.kinds()
+            scheduler.run([ShardTask(key="job", fn=_fast, args=(2,))])
+        assert scheduler.events.kinds() == ["cancelled"]
 
     def test_cancel_between_attempts(self, tmp_path):
         # Arm the hook from the backoff sleep after the first (failing)
-        # attempt: the runner must cancel instead of retrying.
+        # attempt: the scheduler must cancel instead of retrying.
         fired = []
-
-        def flaky(_x):
-            raise ValueError("attempt fails")
-
         config = RuntimeConfig(
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.01),
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.05),
             checkpoint_dir=tmp_path,
             isolate=True,
             cancel=lambda: bool(fired),
             sleep=fired.append,
         )
-        runner = JobRunner(config)
+        scheduler = ShardScheduler(config)
         with pytest.raises(JobCancelled):
-            runner.run("job", flaky, args=(1,))
-        kinds = runner.events.kinds()
+            scheduler.run([ShardTask(key="job", fn=_fails, args=(1,))])
+        kinds = scheduler.events.kinds()
         assert "failure" in kinds and "cancelled" in kinds
+        assert kinds.count("start") < 3
+
+    def test_in_process_cancel_reports_every_abandoned_shard(self, tmp_path):
+        # The hook fires once the first of three shards is journaled;
+        # the two still queued are reported and later resumed.
+        journal = tmp_path / "checkpoint.jsonl"
+        tasks = [
+            ShardTask(key=f"t{i:02d}", fn=_fast, args=(i,), size=1)
+            for i in range(3)
+        ]
+        scheduler = ShardScheduler(
+            _config(tmp_path, cancel=journal.exists, jobs=1, isolate=False)
+        )
+        with pytest.raises(JobCancelled):
+            scheduler.run(tasks, serialize=lambda v: {"value": v})
+        never = [e.job for e in scheduler.events.events
+                 if e.kind == "cancelled" and "never started" in e.detail]
+        assert never == ["t01", "t02"]
+
+        scheduler = ShardScheduler(
+            _config(tmp_path, resume=True, jobs=1, isolate=False)
+        )
+        outcomes = scheduler.run(tasks, serialize=lambda v: {"value": v})
+        assert outcomes["t00"].status == "cached"
+        started = [e.job for e in scheduler.events.events
+                   if e.kind == "start"]
+        assert started == ["t01", "t02"]
 
 
 class TestConfigPickling:

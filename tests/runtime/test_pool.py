@@ -11,14 +11,15 @@ from repro.runtime.pool import ShardScheduler, WorkerPool
 from repro.runtime.sharding import ShardTask
 
 
-def _config(tmp_path=None, resume=False, attempts=2, timeout=None, jobs=2):
+def _config(tmp_path=None, resume=False, attempts=2, timeout=None, jobs=2,
+            isolate=True):
     return RuntimeConfig(
         timeout_seconds=timeout,
         retry=RetryPolicy(max_attempts=attempts, backoff_seconds=0),
         checkpoint_dir=tmp_path,
         resume=resume,
-        isolate=True,
-        jobs=jobs,
+        isolate=isolate,
+        jobs=jobs if isolate else 1,
         sleep=lambda s: None,
     )
 
@@ -91,7 +92,56 @@ class TestWorkerPool:
             WorkerPool(0)
 
 
-class TestShardScheduler:
+class _AttemptLoopCases:
+    """Cases both executors must pass: one attempt loop, one journal."""
+
+    isolate = True
+
+    def _config(self, tmp_path=None, **kwargs):
+        return _config(tmp_path, isolate=self.isolate, **kwargs)
+
+    def test_job_error_retries_then_degrades(self):
+        scheduler = ShardScheduler(self._config(attempts=2), jobs=2)
+        outcomes = scheduler.run(_tasks(_boom, n=2))
+        assert all(o.status == "failed" for o in outcomes.values())
+        assert all(o.attempts == 2 for o in outcomes.values())
+        assert "boom" in outcomes["t00"].error
+        kinds = [e.kind for e in scheduler.events.events if e.job == "t00"]
+        assert kinds == [
+            "start", "failure", "retry", "start", "failure", "degraded",
+        ]
+
+    def test_checkpoint_reuse(self, tmp_path):
+        tasks = [
+            ShardTask(key=f"t{i}", fn=_square, args=(i,), fingerprint="fp")
+            for i in range(4)
+        ]
+        first = ShardScheduler(self._config(tmp_path), jobs=2)
+        first.run(tasks, serialize=lambda v: {"value": v})
+        second = ShardScheduler(self._config(tmp_path, resume=True), jobs=2)
+        outcomes = second.run(tasks, serialize=lambda v: {"value": v})
+        assert all(o.status == "cached" for o in outcomes.values())
+        assert outcomes["t3"].record == {"value": 9}
+        assert [e.kind for e in second.events.events] == ["cached"] * 4
+
+    def test_stale_fingerprint_regrades(self, tmp_path):
+        tasks = [
+            ShardTask(key="t0", fn=_square, args=(3,), fingerprint="old")
+        ]
+        ShardScheduler(self._config(tmp_path), jobs=1).run(
+            tasks, serialize=lambda v: {"value": v}
+        )
+        fresh = [
+            ShardTask(key="t0", fn=_square, args=(4,), fingerprint="new")
+        ]
+        outcomes = ShardScheduler(
+            self._config(tmp_path, resume=True), jobs=1
+        ).run(fresh, serialize=lambda v: {"value": v})
+        assert outcomes["t0"].status == "ok"
+        assert outcomes["t0"].value == 16
+
+
+class TestShardScheduler(_AttemptLoopCases):
     def test_executes_all_tasks(self):
         scheduler = ShardScheduler(_config(), jobs=2)
         outcomes = scheduler.run(_tasks(_square))
@@ -120,17 +170,6 @@ class TestShardScheduler:
         with pytest.raises(CheckpointCorrupt) as excinfo:
             scheduler.run(dup)
         assert excinfo.value.key == "same"
-
-    def test_job_error_retries_then_degrades(self):
-        scheduler = ShardScheduler(_config(attempts=2), jobs=2)
-        outcomes = scheduler.run(_tasks(_boom, n=2))
-        assert all(o.status == "failed" for o in outcomes.values())
-        assert all(o.attempts == 2 for o in outcomes.values())
-        assert "boom" in outcomes["t00"].error
-        kinds = [e.kind for e in scheduler.events.events if e.job == "t00"]
-        assert kinds == [
-            "start", "failure", "retry", "start", "failure", "degraded",
-        ]
 
     def test_crash_affects_only_its_shard(self):
         tasks = _tasks(_square, n=5) + [
@@ -172,31 +211,8 @@ class TestShardScheduler:
         kinds = [e.kind for e in scheduler.events.events if e.job == "slow"]
         assert kinds == ["start", "timeout", "degraded"]
 
-    def test_checkpoint_reuse(self, tmp_path):
-        tasks = [
-            ShardTask(key=f"t{i}", fn=_square, args=(i,), fingerprint="fp")
-            for i in range(4)
-        ]
-        first = ShardScheduler(_config(tmp_path), jobs=2)
-        first.run(tasks, serialize=lambda v: {"value": v})
-        second = ShardScheduler(_config(tmp_path, resume=True), jobs=2)
-        outcomes = second.run(tasks, serialize=lambda v: {"value": v})
-        assert all(o.status == "cached" for o in outcomes.values())
-        assert outcomes["t3"].record == {"value": 9}
-        assert [e.kind for e in second.events.events] == ["cached"] * 4
 
-    def test_stale_fingerprint_regrades(self, tmp_path):
-        tasks = [
-            ShardTask(key="t0", fn=_square, args=(3,), fingerprint="old")
-        ]
-        ShardScheduler(_config(tmp_path), jobs=1).run(
-            tasks, serialize=lambda v: {"value": v}
-        )
-        fresh = [
-            ShardTask(key="t0", fn=_square, args=(4,), fingerprint="new")
-        ]
-        outcomes = ShardScheduler(
-            _config(tmp_path, resume=True), jobs=1
-        ).run(fresh, serialize=lambda v: {"value": v})
-        assert outcomes["t0"].status == "ok"
-        assert outcomes["t0"].value == 16
+class TestInProcessScheduler(_AttemptLoopCases):
+    """The same cases on the ``isolate=False`` executor."""
+
+    isolate = False

@@ -1,4 +1,4 @@
-"""Integration tests: the fault-grading campaign under the resilient runner.
+"""Integration tests: the fault-grading campaign under the shard scheduler.
 
 These exercise the acceptance paths of the resilient runtime against real
 (cheap) components: the equivalence of every execution path,
