@@ -37,24 +37,16 @@ from repro.core.sharded import (
     install_shard_context,
     merge_shard_results,
     record_to_verdict,
-    seed_component,
     shard_record,
 )
 from repro.errors import CheckpointCorrupt, FaultSimError
 from repro.faultsim.coverage import CoverageSummary
-from repro.faultsim.engine import (
-    Stimulus,
-    collapse_epoch,
-    grade,
-    resolve_engine,
-)
-from repro.faultsim.faults import FaultList, build_fault_list
+from repro.faultsim.engine import PreparedGrade, Stimulus, grade
+from repro.faultsim.faults import build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
-from repro.faultsim.observe import ObservePlan, ObserveSpec
+from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
-from repro.faultsim.store import TraceStore, verdict_key_for, verdicts_payload
-from repro.faultsim.trace_cache import set_active_store
 from repro.netlist.netlist import Netlist
 from repro.netlist.stats import gate_count
 from repro.plasma.components import COMPONENTS, ComponentInfo
@@ -211,7 +203,7 @@ def _job_fingerprint(
 
 @dataclass
 class _ComponentPlan:
-    """One component's grading plan: its universe, shards and store key.
+    """One component's grading plan: its prepared grade and shards.
 
     ``engine`` names the engine the shards grade with (empty when nothing
     is simulated: no stimulus, or a persistent-store replay in
@@ -219,13 +211,11 @@ class _ComponentPlan:
     """
 
     info: ComponentInfo
-    fault_list: FaultList
+    prepared: PreparedGrade
     nand2: int
-    stimulus: Stimulus
     engine: str = ""
     tasks: list[ShardTask] = field(default_factory=list)
     cached: CampaignResult | None = None
-    store_key: str = ""
 
 
 def _plan_component(
@@ -235,61 +225,38 @@ def _plan_component(
     jobs: int,
     in_process: bool,
 ) -> _ComponentPlan:
-    """Build one component once, measure its area and shard its universe.
+    """Build and prepare one component once, measure its area and shard
+    its universe.
 
-    Shard bounds index the universe the shards grade: base class
+    Shard bounds index :attr:`PreparedGrade.universe`: base class
     representatives uncollapsed, super-class simulation units collapsed.
     The collapse hash goes into the fingerprint so a resumed run never
     reuses shard bounds from the other universe.  With a persistent
     store, a verdict record for this exact grade replays the whole
     component with zero shards; the lookup comes before collapsing and
     engine selection, so a hit costs the netlist, the fault list, the
-    observe plan and one record read.  ``in_process`` seeds the context's
-    component cache with the objects built here, so the shards reuse
-    them instead of building their own.
+    observe plan and one record read.  ``in_process`` hands the prepared
+    grade to this process's shards, so they build nothing of their own.
     """
     options = context.options
     netlist = info.builder()
     nand2 = gate_count(netlist).nand2  # Table 3 area: pre-transform
-    if context.netlist_transform is not None:
-        netlist = context.netlist_transform(netlist)
-    fault_list = build_fault_list(netlist)
-    stimulus = context.stimulus[info.name]
-    plan = _ComponentPlan(info, fault_list, nand2, stimulus)
-    if not stimulus:
+    prepared = context.prepare(info.name, netlist)
+    plan = _ComponentPlan(info, prepared, nand2)
+    if not prepared.stimulus:
         # The program never excited this component: all faults stay
         # undetected, there is nothing to grade.
         return plan
-    observe = None
-    store = options.store
-    if store is not None:
-        observe = ObservePlan.from_spec(
-            context.observe[info.name], len(stimulus), netlist
-        )
-        plan.store_key = verdict_key_for(
-            store, netlist, stimulus, observe, fault_list,
-            prune_mode=options.prune_mode,
-            collapse_epoch=collapse_epoch(options),
-        )
-        plan.cached = store.replay_verdicts(
-            plan.store_key, info.name, fault_list
-        )
-        if plan.cached is not None:
-            return plan
-    cmap = None
-    universe_size = fault_list.n_collapsed
-    if options.collapse_requested:
-        from repro.analysis.collapse import compute_collapse
-
-        cmap = compute_collapse(netlist, fault_list)
-        universe_size = len(cmap.simulation_order())
-    chash = cmap.collapse_hash if cmap is not None else ""
-    engine = resolve_engine(netlist, options, stimulus)
-    plan.engine = engine.name
+    plan.cached = prepared.replay()
+    if plan.cached is not None:
+        return plan
+    universe_size = len(prepared.universe)
+    chash = prepared.cmap.collapse_hash if prepared.cmap is not None else ""
+    plan.engine = prepared.engine.name
     # Packed words carry ``lanes - 1`` fault classes; aligning shard
     # bounds keeps every word fully occupied (verdicts are identical for
     # any partition — a throughput knob).
-    lane_align = options.lanes - 1 if engine.name == "packed" else 1
+    lane_align = options.lanes - 1 if plan.engine == "packed" else 1
     shards = plan_shards(universe_size, jobs, lane_align=lane_align)
     base = _job_fingerprint(
         self_test, info, context.netlist_transform, options
@@ -307,9 +274,7 @@ def _plan_component(
         for i, (lo, hi) in enumerate(shards)
     ]
     if in_process:
-        seed_component(
-            context, info.name, netlist, fault_list, cmap, engine, observe
-        )
+        context.components[info.name] = prepared
     return plan
 
 
@@ -335,7 +300,6 @@ def _run_in_process(tasks: Sequence[ShardTask]) -> dict[str, JobOutcome]:
 def _merge(
     plan: _ComponentPlan,
     shard_outcomes: dict[str, JobOutcome],
-    store: TraceStore | None,
     journal_path: str | None,
 ) -> tuple[CampaignResult, float, bool]:
     """Merge one component's shards: ``(result, compute seconds, degraded)``.
@@ -349,6 +313,7 @@ def _merge(
     """
     if plan.cached is not None:
         return plan.cached, 0.0, False
+    prepared = plan.prepared
     degraded = False
     resumed = False
     elapsed = 0.0
@@ -368,17 +333,17 @@ def _merge(
         else:  # failed: attempts exhausted, this shard is lost
             degraded = True
             continue
-        if verdict.n_classes != plan.fault_list.n_collapsed:
+        if verdict.n_classes != prepared.fault_list.n_collapsed:
             # Stale journal that somehow passed the fingerprint guard:
             # distrust the shard rather than abort.
             degraded = True
             continue
         verdicts.append(verdict)
     result = merge_shard_results(
-        plan.info.name, plan.fault_list, len(plan.stimulus), verdicts
+        plan.info.name, prepared.fault_list, len(prepared.stimulus), verdicts
     )
-    if store is not None and plan.store_key and not (degraded or resumed):
-        store.save_verdicts(plan.store_key, verdicts_payload(result))
+    if prepared.stimulus and not (degraded or resumed):
+        prepared.save(result)
     return result, elapsed, degraded
 
 
@@ -399,8 +364,8 @@ def _progress_line(
         extras += f", {len(plan.tasks)} shards"
     if plan.engine:
         extras += f", engine {plan.engine}"
-        if plan.fault_list.netlist.dffs:
-            extras += f" (held {held_share(plan.stimulus):.0%})"
+        if plan.prepared.netlist.dffs:
+            extras += f" (held {held_share(plan.prepared.stimulus):.0%})"
     if result.pruned:
         extras += f", {result.n_pruned} pruned"
     if result.n_inferred:
@@ -411,7 +376,7 @@ def _progress_line(
     return (
         f"  {plan.info.name:6s} FC={result.fault_coverage:6.2f}% "
         f"({result.n_detected}/{result.n_faults} faults, "
-        f"{len(plan.stimulus)} stimulus entries, {elapsed:.1f}s"
+        f"{len(plan.prepared.stimulus)} stimulus entries, {elapsed:.1f}s"
         f"{extras}){marker}"
     )
 
@@ -493,7 +458,6 @@ def grade_traced(
     # interleave their shards; in process one component at a time is
     # planned, graded and merged, so only its state is alive.
     batches = [infos] if pooled else [[info] for info in infos]
-    previous_store = set_active_store(None)
     install_shard_context(context)
     try:
         for batch in batches:
@@ -509,9 +473,9 @@ def grade_traced(
             for plan in plans:
                 name = plan.info.name
                 result, elapsed, degraded = _merge(
-                    plan, shard_outcomes, opts.store, journal_path
+                    plan, shard_outcomes, journal_path
                 )
-                context.release(name)
+                context.components.pop(name, None)
                 outcome.results[name] = result
                 outcome.grading_seconds[name] = elapsed
                 if degraded:
@@ -525,7 +489,6 @@ def grade_traced(
                     print(_progress_line(plan, result, elapsed, degraded))
     finally:
         install_shard_context(None)
-        set_active_store(previous_store)
     if scheduler is not None:
         outcome.events = scheduler.events.events
     return outcome

@@ -12,14 +12,14 @@ component's fault universe into contiguous shards
   in process, every pool worker otherwise.  Forked workers inherit it by
   memory, so multi-megabyte traces are never pickled; under ``spawn`` the
   pool initializer ships it (then the transform must be picklable).
-* the **shard job** (:func:`grade_shard`) with a component cache held by
-  the context: the first shard of a component builds its netlist, fault
-  list, observe plan, engine and prune sets **once per process**; every
-  later shard of that component reuses them and only pays for its own
-  faults.  A worker keeps one component at a time.  In process the
-  campaign seeds the cache with the objects its planner already built
-  (:func:`seed_component`) and releases them once the component is
-  merged.
+* the **shard job** (:func:`grade_shard`): one slice of a component's
+  :class:`~repro.faultsim.engine.PreparedGrade`, held by the context.  In
+  process the campaign planner's prepared grade is the one the shards
+  use, released once the component is merged; a pool worker prepares
+  its own on the component's first shard and keeps one component at a
+  time.  The collapse map, engine and prune sets are therefore built
+  once per process and component, and every shard only pays for its own
+  faults.
 * the **deterministic merge** (:func:`merge_shard_results`): shard
   verdicts are per-fault properties, so the merged
   :class:`~repro.faultsim.harness.CampaignResult` is the plain union of
@@ -32,27 +32,17 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.errors import CheckpointCorrupt
 from repro.faultsim.differential import Detection
-from repro.faultsim.engine import (
-    FaultSimEngine,
-    Stimulus,
-    _grade_collapsed,
-    prune_sets,
-    resolve_engine,
-)
+from repro.faultsim.engine import PreparedGrade, Stimulus
 from repro.faultsim.faults import FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
-from repro.faultsim.observe import ObservePlan, ObserveSpec
+from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
-from repro.faultsim.trace_cache import set_active_store
 from repro.netlist.netlist import Netlist
 from repro.plasma.components import component
-
-if TYPE_CHECKING:
-    from repro.analysis.collapse import CollapseMap
 
 
 @dataclass
@@ -70,27 +60,32 @@ class ShardContext:
             shards slice the super-class simulation order instead of
             the base class list; verdicts expand to every member, so
             the merge and coverage are unchanged.
-        components: the per-process grading state, by component name.
-        seeds: objects a planner in this process already built, by
-            component name, until a shard needs them (see
-            :func:`seed_component`).
+        components: the prepared grades shards in this process use, by
+            component name.
     """
 
     stimulus: Mapping[str, Stimulus]
     observe: Mapping[str, ObserveSpec]
     netlist_transform: Callable[[Netlist], Netlist] | None = None
     options: GradeOptions = field(default_factory=GradeOptions)
-    components: dict[str, _ComponentState] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    seeds: dict[str, _Seed] = field(
+    components: dict[str, PreparedGrade] = field(
         default_factory=dict, repr=False, compare=False
     )
 
-    def release(self, name: str) -> None:
-        """Drop ``name``'s seed and grading state."""
-        self.seeds.pop(name, None)
-        self.components.pop(name, None)
+    def prepare(
+        self, name: str, netlist: Netlist | None = None
+    ) -> PreparedGrade:
+        """``name``'s grade in this campaign, from ``netlist`` (default:
+        built fresh) after the netlist transform, with the component's
+        observability and name stamped on the options."""
+        if netlist is None:
+            netlist = component(name).builder()
+        if self.netlist_transform is not None:
+            netlist = self.netlist_transform(netlist)
+        return PreparedGrade(
+            netlist, self.stimulus[name], build_fault_list(netlist),
+            self.options.replace(observe=self.observe[name], name=name),
+        )
 
 
 @dataclass
@@ -116,22 +111,6 @@ class ShardVerdict:
     collapse_hash: str = ""
 
 
-#: Build-once grading state for one component: ``cmap`` is the collapse
-#: map (or None) and ``universe`` is what shard bounds index — base class
-#: representatives uncollapsed, super-class keys collapsed.
-_ComponentState = tuple[
-    Netlist, FaultList, ObservePlan, FaultSimEngine,
-    frozenset[int], frozenset[int], Stimulus,
-    "CollapseMap | None", "list[int]",
-]
-
-#: A planner's built objects for one component: netlist, fault list,
-#: collapse map, and optionally the engine and observe plan.
-_Seed = tuple[
-    Netlist, FaultList, "CollapseMap | None",
-    "FaultSimEngine | None", "ObservePlan | None",
-]
-
 #: The context of the campaign grading in this thread.  Thread-local, so
 #: campaigns graded in process by different threads (the campaign
 #: service's executors) never share a component cache.
@@ -141,84 +120,9 @@ _ACTIVE = threading.local()
 def install_shard_context(context: ShardContext | None) -> None:
     """Install the campaign context in this thread (``None`` removes it).
 
-    Runs in the campaign's thread and as the pool initializer.  Also
-    activates the campaign's persistent store (if any) so shards read
-    shared good traces instead of re-simulating them.
+    Runs in the campaign's thread and as the pool initializer.
     """
     _ACTIVE.context = context
-    if context is not None:
-        set_active_store(context.options.store)
-
-
-def _component_state(name: str) -> _ComponentState:
-    """Build-once grading state for one component, from the context."""
-    context: ShardContext | None = getattr(_ACTIVE, "context", None)
-    if context is None:
-        raise RuntimeError(
-            "no shard context installed in this thread "
-            "(install_shard_context must run before grade_shard)"
-        )
-    state = context.components.get(name)
-    if state is not None:
-        return state
-    # The scheduler's queue hands out shards in plan order, component by
-    # component, so a worker keeps only the latest component's state.
-    context.components.clear()
-    seed = context.seeds.pop(name, None)
-    if seed is None:
-        netlist = component(name).builder()
-        if context.netlist_transform is not None:
-            netlist = context.netlist_transform(netlist)
-        fault_list = build_fault_list(netlist)
-        cmap = None
-        if context.options.collapse_requested:
-            # Local import mirrors grade(): repro.analysis.collapse
-            # imports the fault model, so the load-time dependency stays
-            # one-way.
-            from repro.analysis.collapse import compute_collapse
-
-            cmap = compute_collapse(netlist, fault_list)
-        seed = (netlist, fault_list, cmap, None, None)
-    netlist, fault_list, cmap, engine, plan = seed
-    stimulus = context.stimulus[name]
-    if plan is None:
-        plan = ObservePlan.from_spec(
-            context.observe[name], len(stimulus), netlist
-        )
-    opts = context.options
-    if engine is None:
-        engine = resolve_engine(netlist, opts, stimulus)
-    skip, proven = prune_sets(netlist, fault_list, opts.prune_mode)
-    universe = (
-        cmap.simulation_order() if cmap is not None
-        else fault_list.class_representatives()
-    )
-    state = (
-        netlist, fault_list, plan, engine, skip, proven, stimulus,
-        cmap, universe,
-    )
-    context.components[name] = state
-    return state
-
-
-def seed_component(
-    context: ShardContext,
-    name: str,
-    netlist: Netlist,
-    fault_list: FaultList,
-    cmap: CollapseMap | None,
-    engine: FaultSimEngine | None = None,
-    plan: ObservePlan | None = None,
-) -> None:
-    """Let ``name``'s shards in this process reuse a planner's objects.
-
-    The in-process campaign passes its planner's netlist, fault list,
-    collapse map, engine and (with a store) observe plan, so grading
-    builds none of them a second time.  The rest of the grading state
-    is built when the first shard runs, so a component whose shards all
-    come from the journal costs nothing more.
-    """
-    context.seeds[name] = (netlist, fault_list, cmap, engine, plan)
 
 
 def grade_shard(name: str, lo: int, hi: int) -> ShardVerdict:
@@ -230,30 +134,28 @@ def grade_shard(name: str, lo: int, hi: int) -> ShardVerdict:
     the verdict carries expanded per-member records plus the collapse
     hash the merge validates against.
     """
-    netlist, fault_list, plan, engine, skip, proven, stimulus, cmap, \
-        universe = _component_state(name)
-    if cmap is not None:
-        result = _grade_collapsed(
-            engine, netlist, stimulus, fault_list, plan, cmap,
-            name=name, skip=skip, supers=universe[lo:hi],
+    context: ShardContext | None = getattr(_ACTIVE, "context", None)
+    if context is None:
+        raise RuntimeError(
+            "no shard context installed in this thread "
+            "(install_shard_context must run before grade_shard)"
         )
-    else:
-        result = engine.grade(
-            netlist, stimulus, fault_list, plan,
-            name=name, skip=skip, only=universe[lo:hi],
-        )
-        result.n_simulated = sum(
-            1 for r in universe[lo:hi] if r not in skip
-        )
+    prepared = context.components.get(name)
+    if prepared is None:
+        # The scheduler's queue hands out shards in plan order, component
+        # by component, so a worker keeps only the latest component.
+        context.components.clear()
+        prepared = context.components[name] = context.prepare(name)
+    result = prepared.grade(prepared.universe[lo:hi])
     return ShardVerdict(
         component=name,
         lo=lo,
         hi=hi,
-        n_classes=fault_list.n_collapsed,
-        n_patterns=len(stimulus),
+        n_classes=prepared.fault_list.n_collapsed,
+        n_patterns=len(prepared.stimulus),
         detected=tuple(sorted(result.detected)),
-        pruned=tuple(sorted(skip)),
-        proven=tuple(sorted(proven)),
+        pruned=tuple(sorted(result.pruned)),
+        proven=tuple(sorted(result.proven)),
         detections=dict(result.detections),
         n_simulated=result.n_simulated,
         n_inferred=result.n_inferred,

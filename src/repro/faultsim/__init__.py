@@ -12,8 +12,10 @@ picks an engine (``"auto"``) and returns a
   simulation over levelized netlists (one Python bitwise op evaluates a gate
   under every pattern at once);
 * :mod:`~repro.faultsim.engine` — the :class:`FaultSimEngine` protocol,
-  engine selection and the :func:`grade` facade over the two engines
-  (``differential``, the reference oracle, and ``packed``);
+  engine selection, :class:`PreparedGrade` (the one store lookup →
+  collapse → engine → prune → slice pipeline) and the :func:`grade`
+  facade over the two engines (``differential``, the reference oracle,
+  and ``packed``);
 * :mod:`~repro.faultsim.options` — the one validated
   :class:`GradeOptions` object every grading entry point shares;
 * :mod:`~repro.faultsim.packed` — fault-parallel bit-packed grading (up
@@ -52,9 +54,7 @@ from repro.faultsim.observe import ObservePlan, ObserveSpec
 from repro.faultsim.trace_cache import (
     CacheStats,
     GoodTraceCache,
-    active_store,
     global_trace_cache,
-    set_active_store,
 )
 from repro.faultsim.store import StoreStats, TraceStore
 from repro.faultsim.options import (
@@ -66,6 +66,7 @@ from repro.faultsim.harness import CampaignResult
 from repro.faultsim.engine import (
     DifferentialEngine,
     FaultSimEngine,
+    PreparedGrade,
     default_engine_name,
     engine_names,
     get_engine,
@@ -93,8 +94,6 @@ __all__ = [
     "CacheStats",
     "GoodTraceCache",
     "global_trace_cache",
-    "active_store",
-    "set_active_store",
     "StoreStats",
     "TraceStore",
     "DEFAULT_LANES",
@@ -104,6 +103,7 @@ __all__ = [
     "DifferentialEngine",
     "PackedEngine",
     "FaultSimEngine",
+    "PreparedGrade",
     "default_engine_name",
     "engine_names",
     "get_engine",

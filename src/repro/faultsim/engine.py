@@ -15,7 +15,9 @@ Two interchangeable engines grade a fault universe against a stimulus:
 Both implement the :class:`FaultSimEngine` protocol; ``engine="auto"``
 picks per netlist and stimulus (:func:`default_engine_name`), and
 :func:`resolve_engine` is the one place an options object becomes an
-engine instance.
+engine instance.  :class:`PreparedGrade` is the one grading pipeline —
+store lookup, collapse, engine, prune, grade a slice, store write —
+behind both :func:`grade` and the campaign's shards.
 
 Detection verdicts — the ``detected`` flag, the ``excited`` flag and (for
 sequential stimulus) the first detecting cycle — are engine-invariant and
@@ -37,6 +39,7 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import FaultSimError
@@ -45,14 +48,18 @@ from repro.faultsim.faults import Fault, FaultList, build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObservePlan
-from repro.faultsim.options import GradeOptions, resolve_prune_mode
+from repro.faultsim.options import (
+    DEFAULT_LANES,
+    GradeOptions,
+    resolve_prune_mode,
+)
 from repro.faultsim.simulator import GoodTrace
 from repro.faultsim.store import verdict_key_for, verdicts_payload
-from repro.faultsim.trace_cache import good_trace_for, set_active_store
+from repro.faultsim.trace_cache import good_trace_for
 from repro.netlist.levelize import depth
 from repro.netlist.netlist import Netlist
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see grade())
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see PreparedGrade)
     from repro.analysis.collapse import CollapseMap
 
 __all__ = [
@@ -61,6 +68,7 @@ __all__ = [
     "DifferentialEngine",
     "FaultSimEngine",
     "GradeOptions",
+    "PreparedGrade",
     "default_engine_name",
     "engine_names",
     "get_engine",
@@ -235,8 +243,9 @@ def engine_names() -> tuple[str, ...]:
     return _ENGINE_NAMES
 
 
-def get_engine(name: str) -> FaultSimEngine:
-    """Instantiate the engine called ``name`` with its default settings."""
+def get_engine(name: str, lanes: int = DEFAULT_LANES) -> FaultSimEngine:
+    """Instantiate the engine called ``name``; the packed engine gets
+    ``lanes`` lane groups (the differential engine has no lanes)."""
     if name == "differential":
         return DifferentialEngine()
     if name == "packed":
@@ -244,7 +253,7 @@ def get_engine(name: str) -> FaultSimEngine:
         # so it can only load once the module body has finished.
         from repro.faultsim.packed import PackedEngine
 
-        return PackedEngine()
+        return PackedEngine(lanes=lanes)
     known = ", ".join(("auto", *_ENGINE_NAMES))
     raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
 
@@ -278,35 +287,15 @@ def resolve_engine(
 
     Resolves ``"auto"`` per netlist and stimulus
     (:func:`default_engine_name`) and hands the packed engine its lane
-    count.  :func:`grade`, the campaign's shard planner and the shard
-    workers build their engine here.
+    count.  :class:`PreparedGrade` builds every grade's engine here.
     """
     name = options.engine
     if name == "auto":
         name = default_engine_name(netlist, stimulus)
-    if name == "packed":
-        from repro.faultsim.packed import PackedEngine
-
-        return PackedEngine(lanes=options.lanes)
-    return get_engine(name)
+    return get_engine(name, lanes=options.lanes)
 
 
 # --------------------------------------------------------------- collapsing
-
-
-def collapse_epoch(options: GradeOptions) -> str:
-    """The collapse tag a verdict key carries for ``options``.
-
-    :data:`~repro.analysis.collapse.COLLAPSE_EPOCH` when grading runs
-    through a collapse map (``collapse=True`` or a precomputed map — both
-    address one record), ``""`` otherwise.  Needs no map, so a store
-    lookup can come before :func:`~repro.analysis.collapse.compute_collapse`.
-    """
-    if not options.collapse_requested:
-        return ""
-    from repro.analysis.collapse import COLLAPSE_EPOCH
-
-    return COLLAPSE_EPOCH
 
 
 def _grade_collapsed(
@@ -425,6 +414,151 @@ def _grade_collapsed(
     return result
 
 
+
+
+# ----------------------------------------------------------- prepared grade
+
+
+class PreparedGrade:
+    """One fault grade, prepared once: the store lookup → collapse →
+    engine → prune → slice pipeline behind :func:`grade` and every
+    campaign shard.
+
+    Built from ``(netlist, stimulus, fault_list, options)``, where
+    ``options`` carries this grade's observability spec and label.  The
+    observe plan and the verdict key come first, so :meth:`replay` reads
+    a stored record before anything else is built.  The collapse map,
+    the engine, the ``(skip, proven)`` prune sets and the universe are
+    built lazily, on a miss, and then shared by every slice this object
+    grades.
+    """
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        stimulus: Stimulus,
+        fault_list: FaultList,
+        options: GradeOptions,
+    ):
+        self.netlist = netlist
+        self.stimulus = stimulus
+        self.fault_list = fault_list
+        self.options = options
+        self.name = options.name or netlist.name
+        self.plan = ObservePlan.from_spec(
+            options.observe, len(stimulus), netlist
+        )
+
+    @cached_property
+    def key(self) -> str:
+        """The store key of this full-universe grade (``""`` uncached).
+
+        ``collapse=True`` and a precomputed map address one record: the
+        key carries the collapse epoch, not the map, so the lookup needs
+        no map.
+        """
+        store = self.options.store
+        if store is None:
+            return ""
+        epoch = ""
+        if self.options.collapse_requested:
+            from repro.analysis.collapse import COLLAPSE_EPOCH
+
+            epoch = COLLAPSE_EPOCH
+        return verdict_key_for(
+            store, self.netlist, self.stimulus, self.plan, self.fault_list,
+            prune_mode=self.options.prune_mode, collapse_epoch=epoch,
+        )
+
+    def replay(self) -> CampaignResult | None:
+        """The stored verdict record replayed (``cache_hit=True``), if any."""
+        store = self.options.store
+        if store is None:
+            return None
+        return store.replay_verdicts(self.key, self.name, self.fault_list)
+
+    def save(self, result: CampaignResult) -> None:
+        """Write a full-universe ``result`` back to the store (if any)."""
+        store = self.options.store
+        if store is not None:
+            store.save_verdicts(self.key, verdicts_payload(result))
+
+    @cached_property
+    def cmap(self) -> CollapseMap | None:
+        cmap = self.options.collapse_map
+        if cmap is None and self.options.collapse is True:
+            # Local import: repro.analysis.collapse imports this
+            # package's fault model, so the dependency stays one-way.
+            from repro.analysis.collapse import compute_collapse
+
+            cmap = compute_collapse(self.netlist, self.fault_list)
+        return cmap
+
+    @cached_property
+    def engine(self) -> FaultSimEngine:
+        return resolve_engine(self.netlist, self.options, self.stimulus)
+
+    @cached_property
+    def prune(self) -> tuple[frozenset[int], frozenset[int]]:
+        """``(skip, proven)`` for the options' prune mode."""
+        return prune_sets(
+            self.netlist, self.fault_list, self.options.prune_mode
+        )
+
+    @cached_property
+    def universe(self) -> list[int]:
+        """What shard bounds index: base class representatives
+        uncollapsed, super-class keys in simulation order collapsed."""
+        if self.cmap is not None:
+            return self.cmap.simulation_order()
+        return self.fault_list.class_representatives()
+
+    def grade(
+        self,
+        units: Sequence[int] | None = None,
+        *,
+        subset: Sequence[int] | None = None,
+    ) -> CampaignResult:
+        """Grade ``units`` — a slice of :attr:`universe`, default all of
+        it — or only the class representatives in ``subset`` (the
+        ``GradeOptions.subset`` contract)."""
+        store = self.options.store
+        if store is not None:
+            # Load (or build and save) the good trace through the store
+            # once; the engines then find it in the in-memory cache.
+            good_trace_for(
+                self.netlist, self.stimulus,
+                packed=not self.netlist.dffs, store=store,
+            )
+        skip, proven = self.prune
+        cmap = self.cmap
+        if cmap is not None:
+            restrict: frozenset[int] | None = None
+            if subset is not None:
+                restrict = frozenset(subset)
+                wanted = {
+                    cmap.super_of[r] for r in restrict if r in cmap.super_of
+                }
+                units = [s for s in self.universe if s in wanted]
+            result = _grade_collapsed(
+                self.engine, self.netlist, self.stimulus, self.fault_list,
+                self.plan, cmap, name=self.name, skip=skip, supers=units,
+                restrict=restrict,
+            )
+        else:
+            only = subset if subset is not None else units
+            result = self.engine.grade(
+                self.netlist, self.stimulus, self.fault_list, self.plan,
+                name=self.name, skip=skip, only=only,
+            )
+            result.pruned = set(skip)
+            result.n_simulated = len(
+                _graded_reps(self.fault_list, skip, only)
+            )
+        result.proven = set(proven)
+        return result
+
+
 # ------------------------------------------------------------------- facade
 
 
@@ -458,17 +592,15 @@ def grade(
         ``options.cache`` is set and the store holds a record for this
         exact (netlist, stimulus, observability, prune mode, collapse
         epoch) fingerprint, the result is replayed from disk with
-        ``cache_hit=True`` and zero simulated classes.  The lookup comes
-        first: a hit builds no collapse map, resolves no engine and
-        computes no prune sets, and ``collapse=True`` and a precomputed
-        map address the same record.
+        ``cache_hit=True`` and zero simulated classes; a hit builds no
+        collapse map, engine, prune sets or good trace
+        (:class:`PreparedGrade`).  Subset grades are shard-local: they
+        are neither replayed nor stored.
     """
     opts = options if options is not None else GradeOptions()
-
-    combinational = not netlist.dffs
     if not stimulus:
         raise FaultSimError(
-            "no patterns to apply" if combinational else "no cycles to apply"
+            "no cycles to apply" if netlist.dffs else "no patterns to apply"
         )
     cmap = opts.collapse_map
     if cmap is not None:
@@ -482,63 +614,12 @@ def grade(
         fault_list = (
             faults if faults is not None else build_fault_list(netlist)
         )
-    plan = ObservePlan.from_spec(opts.observe, len(stimulus), netlist)
-    label = opts.name or netlist.name
-    mode = opts.prune_mode
-
-    # Persistent store: activate it for good-trace sharing either way,
-    # and replay the whole verdict record when this exact grade (same
-    # structure, stimulus, observability, pruning, collapse epoch)
-    # already ran.  Subset grades are shard-local and never stored —
-    # the campaign layer caches the merged full-universe result instead.
-    store = opts.store
-    previous_store = set_active_store(store) if store is not None else None
-    try:
-        store_key = ""
-        if store is not None and opts.subset is None:
-            store_key = verdict_key_for(
-                store, netlist, stimulus, plan, fault_list,
-                prune_mode=mode,
-                collapse_epoch=collapse_epoch(opts),
-            )
-            cached = store.replay_verdicts(store_key, label, fault_list)
-            if cached is not None:
-                return cached
-
-        if cmap is None and opts.collapse is True:
-            # Local import: repro.analysis.collapse imports this
-            # package's fault model, so the dependency stays one-way.
-            from repro.analysis.collapse import compute_collapse
-
-            cmap = compute_collapse(netlist, fault_list)
-        selected = resolve_engine(netlist, opts, stimulus)
-        skip, proven = prune_sets(netlist, fault_list, mode)
-        if cmap is not None:
-            supers: Sequence[int] | None = None
-            restrict: frozenset[int] | None = None
-            if opts.subset is not None:
-                restrict = frozenset(opts.subset)
-                wanted = {
-                    cmap.super_of[r] for r in restrict if r in cmap.super_of
-                }
-                supers = [s for s in cmap.simulation_order() if s in wanted]
-            result = _grade_collapsed(
-                selected, netlist, stimulus, fault_list, plan, cmap,
-                name=label, skip=skip, supers=supers, restrict=restrict,
-            )
-        else:
-            result = selected.grade(
-                netlist, stimulus, fault_list, plan,
-                name=label, skip=skip, only=opts.subset,
-            )
-            result.pruned = set(skip)
-            result.n_simulated = len(
-                _graded_reps(fault_list, skip, opts.subset)
-            )
-        result.proven = set(proven)
-        if store is not None and store_key:
-            store.save_verdicts(store_key, verdicts_payload(result))
-        return result
-    finally:
-        if store is not None:
-            set_active_store(previous_store)
+    prepared = PreparedGrade(netlist, stimulus, fault_list, opts)
+    if opts.subset is not None:
+        return prepared.grade(subset=opts.subset)
+    cached = prepared.replay()
+    if cached is not None:
+        return cached
+    result = prepared.grade()
+    prepared.save(result)
+    return result

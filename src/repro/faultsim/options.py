@@ -14,8 +14,9 @@ dataclass (execution knobs — isolation, timeouts, ``jobs`` — live on
 * **one object end to end** — ``run_campaign`` → ``grade_traced`` →
   the shard planner and :func:`~repro.core.sharded.grade_shard` all share
   the same instance, and the sharded scheduler ships it to pool workers
-  as-is (:func:`~repro.core.campaign.grade_component` stamps the
-  component's ``name``/``observe`` on via :meth:`replace`);
+  as-is; each component's
+  :class:`~repro.faultsim.engine.PreparedGrade` gets a copy with the
+  component's ``name``/``observe`` stamped on via :meth:`replace`;
 * **a checkpoint fingerprint** — :meth:`fingerprint` digests exactly the
   verdict-shaping knobs, so journal reuse rules live in one place.
 """

@@ -509,9 +509,9 @@ def verdict_key_for(
 ) -> str:
     """The store key of one full-universe component grade.
 
-    Shared by :func:`repro.faultsim.engine.grade` and the campaign
-    planner, which both check the store before collapsing, resolving an
-    engine or simulating, so both address the same record.
+    Computed by :class:`repro.faultsim.engine.PreparedGrade` before it
+    collapses, resolves an engine or simulates, so :func:`grade` and a
+    campaign address the same record.
     ``collapse_epoch`` is :data:`repro.analysis.collapse.COLLAPSE_EPOCH`
     when the grade runs through a collapse map (computed or passed in)
     and ``""`` otherwise.

@@ -166,29 +166,10 @@ class GoodTraceCache:
 
 _GLOBAL = GoodTraceCache()
 
-#: The process-wide persistent store behind the in-memory cache, or
-#: ``None`` when grading runs purely in-memory.  Set by the grading
-#: facade when :class:`~repro.faultsim.options.GradeOptions` carries a
-#: ``cache``, and inherited as-is by forked pool workers.
-_ACTIVE_STORE: "TraceStore | None" = None
-
 
 def global_trace_cache() -> GoodTraceCache:
     """The process-wide cache used by default by every engine."""
     return _GLOBAL
-
-
-def set_active_store(store: "TraceStore | None") -> "TraceStore | None":
-    """Install (or clear) the persistent store; returns the previous one."""
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    return previous
-
-
-def active_store() -> "TraceStore | None":
-    """The persistent store currently backing the in-memory cache."""
-    return _ACTIVE_STORE
 
 
 def good_trace_for(
@@ -197,6 +178,7 @@ def good_trace_for(
     *,
     packed: bool,
     cache: GoodTraceCache | None = None,
+    store: "TraceStore | None" = None,
 ) -> GoodTrace:
     """Good-machine trace for ``stimulus``, through the cache.
 
@@ -207,13 +189,17 @@ def good_trace_for(
             lane of a single simulated cycle.  ``False`` runs a
             single-lane cycle sequence (sequential components).
         cache: cache instance (default: the process-wide one).
+        store: persistent store behind the cache: an in-memory miss
+            loads the trace from it, or simulates and saves it there.
+            Only :class:`~repro.faultsim.engine.PreparedGrade` passes
+            one, on a verdict miss; the engines' own lookups then hit
+            the in-memory cache.
     """
     cache = cache if cache is not None else _GLOBAL
     mode = "packed" if packed else "sequence"
     key = cache.key_for(netlist, stimulus, mode)
 
     def build() -> GoodTrace:
-        store = _ACTIVE_STORE
         store_key = ""
         if store is not None:
             structural, stim_hash, n_entries, _ = key

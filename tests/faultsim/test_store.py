@@ -11,12 +11,14 @@ import random
 
 import pytest
 
+import repro.core.sharded as sharded_mod
 from repro.core.campaign import run_campaign
 from repro.faultsim import (
     GradeOptions,
     StoreStats,
     TraceStore,
     build_fault_list,
+    global_trace_cache,
     grade,
 )
 from repro.faultsim.store import (
@@ -301,10 +303,12 @@ def ctrl_spec():
 
 
 def _count_analysis(monkeypatch):
-    """Count collapse maps built, engines resolved and prune sets made."""
+    """Count collapse maps built, engines resolved and prune sets made.
+
+    Patched only where :class:`PreparedGrade` calls them: the one
+    pipeline behind ``grade()`` and every campaign path.
+    """
     import repro.analysis.collapse as collapse_mod
-    import repro.core.campaign as campaign_mod
-    import repro.core.sharded as sharded_mod
     import repro.faultsim.engine as engine_mod
 
     calls = []
@@ -319,15 +323,9 @@ def _count_analysis(monkeypatch):
         collapse_mod, "compute_collapse",
         counting("compute_collapse", collapse_mod.compute_collapse),
     )
-    for module in (engine_mod, campaign_mod, sharded_mod):
+    for name in ("resolve_engine", "prune_sets"):
         monkeypatch.setattr(
-            module, "resolve_engine",
-            counting("resolve_engine", engine_mod.resolve_engine),
-        )
-    for module in (engine_mod, sharded_mod):
-        monkeypatch.setattr(
-            module, "prune_sets",
-            counting("prune_sets", engine_mod.prune_sets),
+            engine_mod, name, counting(name, getattr(engine_mod, name))
         )
     return calls
 
@@ -396,3 +394,74 @@ class TestStoreHitSkipsAnalysis:
         assert mapped.cache_hit
         assert mapped.detections == cold.detections
         assert mapped.collapse_hash == cmap.collapse_hash
+
+
+_real_grade_shard = sharded_mod.grade_shard
+
+
+def _shard_reporting_trace_hits(name, lo, hi):
+    """Grade one shard, then append this process's store trace hits to
+    ``trace-hits`` beside the store (pool workers keep their own stats)."""
+    verdict = _real_grade_shard(name, lo, hi)
+    store = sharded_mod._ACTIVE.context.options.store
+    with open(store.root.parent / "trace-hits", "a") as out:
+        out.write(f"{store.stats.trace_hits}\n")
+    return verdict
+
+
+class TestVerdictMissLoadsTraceFromStore:
+    """A verdict miss over a known stimulus reads its good trace from the
+    store instead of simulating it again, on every grading path.
+
+    The in-memory cache is cleared before the cold grade too: a trace
+    found there is never written to the store.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _cold_memory(self):
+        global_trace_cache().clear()
+
+    def test_grade(self, tmp_path):
+        store = TraceStore(tmp_path)
+        cold = grade(build_alu(width=4), _alu_patterns(),
+                     options=GradeOptions(cache=store))
+        assert store.stats.trace_hits == 0
+        global_trace_cache().clear()
+        pruned = grade(build_alu(width=4), _alu_patterns(),
+                       options=GradeOptions(cache=store,
+                                            prune_untestable=True))
+        assert not pruned.cache_hit
+        assert store.stats.trace_hits >= 1
+        assert pruned.detected == cold.detected
+
+    def test_in_process_campaign(self, tmp_path):
+        store = TraceStore(tmp_path)
+        cold = run_campaign("A", components=["CTRL"],
+                            options=GradeOptions(cache=store))
+        assert store.stats.trace_hits == 0
+        global_trace_cache().clear()
+        pruned = run_campaign("A", components=["CTRL"], options=GradeOptions(
+            cache=store, prune_untestable=True,
+        ))
+        assert pruned.cached_components == []
+        assert store.stats.trace_hits >= 1
+        assert pruned.table5() == cold.table5()
+
+    def test_pooled_campaign(self, tmp_path, monkeypatch):
+        from repro.runtime import RuntimeConfig
+
+        root = tmp_path / "store"
+        runtime = RuntimeConfig(jobs=2)
+        cold = run_campaign("A", components=["CTRL"], runtime=runtime,
+                            options=GradeOptions(cache=TraceStore(root)))
+        global_trace_cache().clear()
+        monkeypatch.setattr(
+            sharded_mod, "grade_shard", _shard_reporting_trace_hits
+        )
+        pruned = run_campaign("A", components=["CTRL"], runtime=runtime,
+                              options=GradeOptions(cache=TraceStore(root),
+                                                   prune_untestable=True))
+        assert pruned.cached_components == []
+        hits = (tmp_path / "trace-hits").read_text().split()
+        assert hits and max(int(h) for h in hits) >= 1
+        assert pruned.table5() == cold.table5()

@@ -132,7 +132,7 @@ class TestInProcess:
 
         def spying_shard(name, lo, hi):
             context = sharded_mod._ACTIVE.context
-            held.append(set(context.seeds) | set(context.components))
+            held.append(set(context.components))
             return _real_grade_shard(name, lo, hi)
 
         for module in (campaign_mod, sharded_mod):
@@ -185,6 +185,60 @@ class TestInProcess:
             sys.setswitchinterval(interval)
         assert want["A"] != want["AB"]
         assert got == {i: want[p] for i, p in enumerate(phases)}
+
+    def test_concurrent_threads_keep_their_own_trace_store(
+        self, tmp_path, monkeypatch
+    ):
+        # Campaign A grades with a store, campaign B without.  B starts
+        # after A and is inside its own shard while A's shard builds the
+        # good trace, so a store shared through process state would be
+        # B's (none) by then.
+        from repro.core.campaign import grade_traced
+        from repro.faultsim.store import TraceStore
+        from repro.faultsim.trace_cache import global_trace_cache
+
+        self_test = SelfTestMethodology().build_program("A")
+        cpu_result, tracer, _ = execute_self_test(self_test)
+        specs = tracer.finalize()
+        store = TraceStore(tmp_path)
+        a_inside, b_inside, a_done = (threading.Event() for _ in range(3))
+
+        def gated_shard(name, lo, hi):
+            if sharded_mod._ACTIVE.context.options.store is None:  # B
+                b_inside.set()
+                a_done.wait(timeout=120)
+                return _real_grade_shard(name, lo, hi)
+            a_inside.set()
+            b_inside.wait(timeout=120)
+            try:
+                return _real_grade_shard(name, lo, hi)
+            finally:
+                a_done.set()
+
+        outcomes = {}
+
+        def run(label, options):
+            outcomes[label] = grade_traced(
+                self_test, cpu_result, specs, components=["CTRL"],
+                options=options,
+            )
+
+        monkeypatch.setattr(sharded_mod, "grade_shard", gated_shard)
+        global_trace_cache().clear()
+        thread_a = threading.Thread(
+            target=run, args=("A", GradeOptions(cache=store))
+        )
+        thread_b = threading.Thread(target=run, args=("B", GradeOptions()))
+        thread_a.start()
+        assert a_inside.wait(timeout=120)
+        thread_b.start()
+        for thread in (thread_a, thread_b):
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert set(outcomes) == {"A", "B"}
+        traces, verdicts = store.record_count()
+        assert (traces, verdicts) == (1, 1), "A's good trace missed A's store"
+        assert outcomes["A"].table5() == outcomes["B"].table5()
 
     def test_grading_exception_reaches_the_caller(self, monkeypatch):
         calls = []
