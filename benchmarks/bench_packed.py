@@ -11,7 +11,9 @@ verdict.  This bench grades real traced components and enforces:
   must reproduce the serial run exactly;
 * **warm-store replay (hard gate)** — an unchanged repeat campaign
   against a persistent cache directory must replay every component from
-  the store (zero re-simulated classes) with identical coverage;
+  the store (zero re-simulated classes) with every class's detected
+  flag, excitation flag and first detecting cycle unchanged; each
+  component's lone replay time goes into the artifact;
 * **steady-state throughput (soft gate)** — cache-warm packed grading
   should be >= 4x the differential engine.  The deep combinational
   cones (ALU, BSH) clear it; on shallow or sequential components the
@@ -37,10 +39,14 @@ import sys
 import tempfile
 import time
 
-from repro.core.campaign import execute_self_test, run_campaign
+from repro.core.campaign import (
+    execute_self_test,
+    grade_component,
+    run_campaign,
+)
 from repro.faultsim import GradeOptions, TraceStore, build_fault_list, grade
 from repro.core.methodology import SelfTestMethodology
-from repro.plasma.components import build_component
+from repro.plasma.components import build_component, component
 from repro.runtime.sharding import plan_shards
 
 #: Soft-gate floor: steady-state packed-vs-differential speedup.  See
@@ -169,8 +175,17 @@ def _bench_component(name, stimulus, observe, repeats, lines, failures,
     )
 
 
-def _bench_store(lines, failures, records):
-    """Warm-store hard gate: an unchanged repeat campaign replays fully."""
+def _full_verdicts(result):
+    """Per class: detected, excited and first detecting cycle."""
+    return {
+        rep: (det.detected, det.excited, det.cycle)
+        for rep, det in result.detections.items()
+    }
+
+
+def _bench_store(specs, lines, failures, records):
+    """Warm-store hard gate: an unchanged repeat campaign replays fully,
+    every class's verdict included."""
     with tempfile.TemporaryDirectory() as cache_dir:
         opts = GradeOptions(cache=TraceStore(cache_dir), collapse=True)
         components = list(STORE_COMPONENTS)
@@ -180,6 +195,20 @@ def _bench_store(lines, failures, records):
         started = time.perf_counter()
         warm = run_campaign("A", components=components, options=opts)
         warm_seconds = time.perf_counter() - started
+        # One component's replay alone: the key, the record read and
+        # the decode (the netlist is built outside the timer).
+        replay_seconds = {}
+        for name in components:
+            stimulus, observe = specs[name]
+            netlist = build_component(name)
+            started = time.perf_counter()
+            replayed = grade_component(
+                component(name), stimulus, observe, netlist=netlist,
+                options=opts,
+            )
+            replay_seconds[name] = round(time.perf_counter() - started, 4)
+            if not replayed.cache_hit:
+                failures.append(f"store: {name} missed on a lone replay")
 
     replayed = sorted(warm.cached_components)
     resimulated = sum(r.n_simulated for r in warm.results.values())
@@ -194,8 +223,13 @@ def _bench_store(lines, failures, records):
             "(must be 0)"
         )
     for name in components:
-        if warm.results[name].detected != cold.results[name].detected:
-            failures.append(f"store: {name} verdicts differ after replay")
+        if _full_verdicts(warm.results[name]) != _full_verdicts(
+            cold.results[name]
+        ):
+            failures.append(
+                f"store: {name} verdicts (detected, excited or first "
+                "cycle) differ after replay"
+            )
     if warm.summary.overall_coverage != cold.summary.overall_coverage:
         failures.append("store: overall coverage differs after replay")
     records.append({
@@ -203,6 +237,7 @@ def _bench_store(lines, failures, records):
         "campaign_components": components,
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 4),
+        "replay_seconds": replay_seconds,
         "replayed": replayed,
         "resimulated_classes": resimulated,
         "status": "PASS" if replayed == sorted(components) else "FAIL",
@@ -210,7 +245,8 @@ def _bench_store(lines, failures, records):
     lines.append(
         f"store  warm replay {len(replayed)}/{len(components)} components, "
         f"{resimulated} classes re-simulated  {cold_seconds:6.2f}s -> "
-        f"{warm_seconds:6.2f}s"
+        f"{warm_seconds:6.2f}s; per component "
+        + ", ".join(f"{n} {t * 1000:.0f} ms" for n, t in replay_seconds.items())
     )
 
 
@@ -231,7 +267,7 @@ def run_bench(quick: bool) -> tuple[str, list[str], list[dict]]:
         _bench_component(
             name, stimulus, observe, repeats, lines, failures, records
         )
-    _bench_store(lines, failures, records)
+    _bench_store(specs, lines, failures, records)
     timed = [r for r in records if "speedup" in r]
     passed = sum(1 for r in timed if r["status"] == "PASS")
     lines.append(

@@ -48,8 +48,7 @@ from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
 from repro.netlist.netlist import Netlist
-from repro.netlist.stats import gate_count
-from repro.plasma.components import COMPONENTS, ComponentInfo
+from repro.plasma.components import COMPONENTS, ComponentInfo, component_stats
 from repro.plasma.cpu import CPUResult, PlasmaCPU
 from repro.plasma.memory import Memory
 from repro.plasma.tracer import ComponentTracer
@@ -233,14 +232,15 @@ def _plan_component(
     The collapse hash goes into the fingerprint so a resumed run never
     reuses shard bounds from the other universe.  With a persistent
     store, a verdict record for this exact grade replays the whole
-    component with zero shards; the lookup comes before collapsing and
-    engine selection, so a hit costs the netlist, the fault list, the
-    observe plan and one record read.  ``in_process`` hands the prepared
-    grade to this process's shards, so they build nothing of their own.
+    component with zero shards; the lookup comes before the fault list,
+    collapsing and engine selection, so a hit costs the netlist, the
+    observe plan, the key and one record read.  ``in_process`` hands the
+    prepared grade to this process's shards, so they build nothing of
+    their own.
     """
     options = context.options
     netlist = info.builder()
-    nand2 = gate_count(netlist).nand2  # Table 3 area: pre-transform
+    nand2 = component_stats(info).nand2  # Table 3 area: pre-transform
     prepared = context.prepare(info.name, netlist)
     plan = _ComponentPlan(info, prepared, nand2)
     if not prepared.stimulus:

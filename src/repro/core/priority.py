@@ -19,8 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.netlist.stats import gate_count
-from repro.plasma.components import COMPONENTS, ComponentClass, ComponentInfo
+from repro.plasma.components import (
+    COMPONENTS,
+    ComponentClass,
+    ComponentInfo,
+    component_stats,
+)
 
 #: Class rank for test development (lower = earlier), per the paper's
 #: Table 1.  Glue is residual and never individually targeted.
@@ -156,7 +160,7 @@ def test_development_order(
     if components is None:
         components = COMPONENTS
     if sizes is None:
-        sizes = {c.name: gate_count(c.builder()).nand2 for c in components}
+        sizes = {c.name: component_stats(c).nand2 for c in components}
     return sorted(
         components, key=lambda c: component_priority(c, sizes.get(c.name, 0))
     )

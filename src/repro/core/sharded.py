@@ -37,7 +37,7 @@ from typing import Any
 from repro.errors import CheckpointCorrupt
 from repro.faultsim.differential import Detection
 from repro.faultsim.engine import PreparedGrade, Stimulus
-from repro.faultsim.faults import FaultList, build_fault_list
+from repro.faultsim.faults import FaultList
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
@@ -77,13 +77,14 @@ class ShardContext:
     ) -> PreparedGrade:
         """``name``'s grade in this campaign, from ``netlist`` (default:
         built fresh) after the netlist transform, with the component's
-        observability and name stamped on the options."""
+        observability and name stamped on the options.  The fault list
+        is built on first use, so a store hit never builds it."""
         if netlist is None:
             netlist = component(name).builder()
         if self.netlist_transform is not None:
             netlist = self.netlist_transform(netlist)
         return PreparedGrade(
-            netlist, self.stimulus[name], build_fault_list(netlist),
+            netlist, self.stimulus[name], None,
             self.options.replace(observe=self.observe[name], name=name),
         )
 

@@ -39,7 +39,7 @@ minimum.  Detected flags, coverage and excitation stay exact either way
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import FaultSimError
@@ -351,12 +351,12 @@ def _grade_collapsed(
         if not batch:
             return
         units = [unit_of[s] for s in batch]
-        partial = selected.grade(
+        batch_result = selected.grade(
             netlist, stimulus, fault_list, plan,
             name=name or netlist.name, skip=skip, only=units,
         )
         for s, unit in zip(batch, units, strict=True):
-            verdicts[s] = partial.detections[unit]
+            verdicts[s] = batch_result.detections[unit]
         n_simulated += len(units)
 
     simulate([s for s in graded if not cmap.is_dominator(s)])
@@ -425,11 +425,13 @@ class PreparedGrade:
     campaign shard.
 
     Built from ``(netlist, stimulus, fault_list, options)``, where
-    ``options`` carries this grade's observability spec and label.  The
-    observe plan and the verdict key come first, so :meth:`replay` reads
-    a stored record before anything else is built.  The collapse map,
-    the engine, the ``(skip, proven)`` prune sets and the universe are
-    built lazily, on a miss, and then shared by every slice this object
+    ``options`` carries this grade's observability spec and label and
+    ``fault_list`` may be ``None`` (the canonical universe, built on
+    first use).  The observe plan and the verdict key come first, so
+    :meth:`replay` reads a stored record before anything else is built:
+    a hit builds no fault list.  The fault list, the collapse map, the
+    engine, the ``(skip, proven)`` prune sets and the universe are built
+    lazily, on a miss, and then shared by every slice this object
     grades.
     """
 
@@ -437,12 +439,13 @@ class PreparedGrade:
         self,
         netlist: Netlist,
         stimulus: Stimulus,
-        fault_list: FaultList,
+        fault_list: FaultList | None,
         options: GradeOptions,
     ):
         self.netlist = netlist
         self.stimulus = stimulus
-        self.fault_list = fault_list
+        if fault_list is not None:
+            self.fault_list = fault_list
         self.options = options
         self.name = options.name or netlist.name
         self.plan = ObservePlan.from_spec(
@@ -450,12 +453,19 @@ class PreparedGrade:
         )
 
     @cached_property
+    def fault_list(self) -> FaultList:
+        """The fault universe: the one given, else the canonical
+        :func:`build_fault_list` universe (which ``FAULT_EPOCH`` in the
+        key versions)."""
+        return build_fault_list(self.netlist)
+
+    @cached_property
     def key(self) -> str:
         """The store key of this full-universe grade (``""`` uncached).
 
         ``collapse=True`` and a precomputed map address one record: the
-        key carries the collapse epoch, not the map, so the lookup needs
-        no map.
+        key carries the collapse and fault-universe epoch tags, not the
+        map or the fault list, so the lookup needs neither.
         """
         store = self.options.store
         if store is None:
@@ -466,16 +476,23 @@ class PreparedGrade:
 
             epoch = COLLAPSE_EPOCH
         return verdict_key_for(
-            store, self.netlist, self.stimulus, self.plan, self.fault_list,
+            store, self.netlist, self.stimulus, self.plan,
             prune_mode=self.options.prune_mode, collapse_epoch=epoch,
         )
 
     def replay(self) -> CampaignResult | None:
-        """The stored verdict record replayed (``cache_hit=True``), if any."""
+        """The stored verdict record replayed (``cache_hit=True``), if any.
+
+        Without a fault list yet, the replayed result builds its own on
+        first per-fault access; this object stays without one.
+        """
         store = self.options.store
         if store is None:
             return None
-        return store.replay_verdicts(self.key, self.name, self.fault_list)
+        faults = self.__dict__.get("fault_list")  # given or built already
+        if faults is None:
+            faults = partial(build_fault_list, self.netlist)
+        return store.replay_verdicts(self.key, self.name, faults)
 
     def save(self, result: CampaignResult) -> None:
         """Write a full-universe ``result`` back to the store (if any)."""
@@ -582,7 +599,8 @@ def grade(
             unordered pattern set; sequential ones as an in-order cycle
             sequence applied from reset.
         stimulus: per entry, ``{input port: value}``.
-        faults: the fault universe (default: build and collapse it).
+        faults: the fault universe (default: the canonical one, built
+            and collapsed on a store miss only).
         options: the validated grading options (engine selection,
             observability, pruning, subsetting, collapsing, persistent
             caching, packed-lane width).
@@ -593,9 +611,10 @@ def grade(
         exact (netlist, stimulus, observability, prune mode, collapse
         epoch) fingerprint, the result is replayed from disk with
         ``cache_hit=True`` and zero simulated classes; a hit builds no
-        collapse map, engine, prune sets or good trace
-        (:class:`PreparedGrade`).  Subset grades are shard-local: they
-        are neither replayed nor stored.
+        fault list (unless ``faults`` or a map supplied one), collapse
+        map, engine, prune sets or good trace (:class:`PreparedGrade`).
+        Subset grades are shard-local: they are neither replayed nor
+        stored.
     """
     opts = options if options is not None else GradeOptions()
     if not stimulus:
@@ -603,6 +622,7 @@ def grade(
             "no cycles to apply" if netlist.dffs else "no patterns to apply"
         )
     cmap = opts.collapse_map
+    fault_list = faults
     if cmap is not None:
         if faults is not None and cmap.fault_list is not faults:
             raise FaultSimError(
@@ -610,10 +630,6 @@ def grade(
                 "pass the map's own fault_list (or neither)"
             )
         fault_list = cmap.fault_list
-    else:
-        fault_list = (
-            faults if faults is not None else build_fault_list(netlist)
-        )
     prepared = PreparedGrade(netlist, stimulus, fault_list, opts)
     if opts.subset is not None:
         return prepared.grade(subset=opts.subset)

@@ -34,6 +34,16 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import CONST0, CONST1, Netlist
 
 
+#: Version tag of the fault universe :func:`build_fault_list` produces.
+#: The universe is a pure function of the netlist structure, so the
+#: structural hash plus this tag fixes every fault, its index and its
+#: class: persistent-store verdict keys carry the tag instead of the
+#: universe's size, which lets a store hit skip building the list.  Bump
+#: it on any change to the faults, their order or their classes
+#: (``tests/analysis/test_collapse_epoch.py`` pins all three).
+FAULT_EPOCH = "faults-v1"
+
+
 class FaultKind(enum.Enum):
     STEM = "stem"  # fault on a net (affects all readers)
     BRANCH = "branch"  # fault on one gate input pin

@@ -9,11 +9,53 @@ is what every engine and the facade return.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from repro.errors import FaultSimError
 from repro.faultsim.coverage import ComponentCoverage
 from repro.faultsim.differential import Detection
 from repro.faultsim.faults import Fault, FaultList
+
+
+class _FaultListField:
+    """``CampaignResult.fault_list``: a :class:`FaultList`, or a
+    zero-argument builder that runs on first read.
+
+    A store replay passes a builder, so coverage, Table 5 and the
+    per-class detections never build the universe; the first per-fault
+    access (``undetected_faults()``, a diagnosis) does, and checks it
+    against the record's class count.
+    """
+
+    def __get__(
+        self, result: CampaignResult | None, owner: type | None = None
+    ) -> FaultList:
+        if result is None:
+            # No class-level default: the dataclass field stays required.
+            raise AttributeError("fault_list")
+        value = result.__dict__["_fault_list"]
+        if isinstance(value, FaultList):
+            return value
+        fault_list = value()
+        if (
+            result.n_classes is not None
+            and fault_list.n_collapsed != result.n_classes
+        ):
+            raise FaultSimError(
+                f"{result.name}: the rebuilt fault universe has "
+                f"{fault_list.n_collapsed} classes but the replayed record "
+                f"has {result.n_classes}"
+            )
+        result.__dict__["_fault_list"] = fault_list
+        return fault_list
+
+    def __set__(
+        self,
+        result: CampaignResult,
+        value: FaultList | Callable[[], FaultList],
+    ) -> None:
+        result.__dict__["_fault_list"] = value
 
 
 @dataclass
@@ -22,7 +64,8 @@ class CampaignResult:
 
     Attributes:
         name: campaign label.
-        fault_list: the component's fault universe.
+        fault_list: the component's fault universe.  A store replay
+            builds it on first read (see ``n_classes``).
         detected: representative fault indices that were detected.
         detections: per representative index, the Detection record.
         n_patterns: number of patterns / cycles applied.
@@ -48,10 +91,13 @@ class CampaignResult:
         cache_hit: True when the whole result was replayed from the
             persistent store (:class:`~repro.faultsim.store.TraceStore`)
             instead of simulated — ``n_simulated`` is 0 in that case.
+        n_classes: the class count a replayed record states; ``None``
+            otherwise.  Set, it is ``n_faults`` without building the
+            fault list, and a lazily built list must match it.
     """
 
     name: str
-    fault_list: FaultList
+    fault_list: _FaultListField = _FaultListField()
     detected: set[int] = field(default_factory=set)
     detections: dict[int, Detection] = field(default_factory=dict)
     n_patterns: int = 0
@@ -61,9 +107,12 @@ class CampaignResult:
     n_inferred: int = 0
     collapse_hash: str = ""
     cache_hit: bool = False
+    n_classes: int | None = None
 
     @property
     def n_faults(self) -> int:
+        if self.n_classes is not None:
+            return self.n_classes
         return self.fault_list.n_collapsed
 
     @property

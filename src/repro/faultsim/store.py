@@ -14,9 +14,10 @@ Two record kinds live under the cache root:
   ``(netlist, stimulus)`` pair, keyed by the PR 3 structural/stimulus
   hashes plus the lane mode and the store epoch;
 * **verdict records** (``verdicts/``) — the full per-class outcome of
-  one component grade (detected set, per-class detections, prune and
-  proven sets), additionally keyed by the observability signature, the
-  prune mode, the fault-universe shape and the collapse epoch tag.
+  one component grade (per-class detections as fixed-width columns,
+  prune and proven sets), additionally keyed by the observability
+  signature, the prune mode and the collapse and fault-universe epoch
+  tags.
 
 Robustness properties, each exercised by the failure-mode tests:
 
@@ -39,17 +40,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
+from array import array
+from base64 import b64decode, b64encode
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.faultsim.differential import Detection
+from repro.faultsim.faults import FAULT_EPOCH, FaultList
 from repro.faultsim.simulator import GoodTrace, SimState
 from repro.utils.lanes import LaneSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faultsim.faults import FaultList
     from repro.faultsim.harness import CampaignResult
     from repro.faultsim.observe import ObservePlan
     from repro.netlist.netlist import Netlist
@@ -57,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Store format epoch — part of every record key.  Bump on any change to
 #: the record layout or to verdict semantics, so stale caches invalidate
 #: themselves instead of replaying wrong records.
-STORE_EPOCH = "store-v1"
+STORE_EPOCH = "store-v2"
 
 #: Default LRU cap on the summed size of resident records.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -142,24 +147,26 @@ class TraceStore:
         observe_sig: str,
         prune_mode: str,
         collapse_epoch: str,
-        universe: str,
+        fault_epoch: str,
     ) -> str:
         """Content address of one full-universe component verdict record.
 
         Every field that could change a verdict (or what the record
         means) participates: netlist structure, stimulus, observability
         signature, prune mode (``"proven"`` changes the denominator),
-        the fault-universe shape and the collapse epoch tag —
+        the collapse epoch tag —
         :data:`repro.analysis.collapse.COLLAPSE_EPOCH` for a collapsed
-        grade, ``""`` for a plain one.  Inferred dominator detections
-        carry collapse-dependent cycle/lane witnesses, so records never
-        cross the collapse boundary.  The tag stands in for the collapse
-        hash: the map is a function of the structure (already keyed) and
-        of the collapse code (the tag), so a lookup needs no map.
+        grade, ``""`` for a plain one — and the fault-universe epoch tag
+        (:data:`repro.faultsim.faults.FAULT_EPOCH`).  Inferred dominator
+        detections carry collapse-dependent cycle/lane witnesses, so
+        records never cross the collapse boundary.  The tags stand in
+        for the collapse hash and the universe: both are functions of
+        the structure (already keyed) and of the code the tags version,
+        so a lookup needs neither a map nor a fault list.
         """
         return _digest(
             "verdicts", STORE_EPOCH, structural, stimulus, str(n_entries),
-            observe_sig, prune_mode, collapse_epoch, universe,
+            observe_sig, prune_mode, collapse_epoch, fault_epoch,
         )
 
     # ------------------------------------------------------------ traces
@@ -179,6 +186,11 @@ class TraceStore:
         self.stats.trace_hits += 1
         return trace
 
+    def has_trace(self, key: str) -> bool:
+        """Whether a trace record exists for ``key`` (not read or
+        verified: :meth:`load_trace` does that)."""
+        return self._path(_TRACES, key).is_file()
+
     def save_trace(self, key: str, trace: GoodTrace) -> bool:
         """Persist one good trace; False when it exceeds the record cap."""
         return self._save(_TRACES, key, _trace_to_doc(trace))
@@ -195,22 +207,30 @@ class TraceStore:
         return doc
 
     def replay_verdicts(
-        self, key: str, name: str, fault_list: "FaultList"
+        self,
+        key: str,
+        name: str,
+        fault_list: FaultList | Callable[[], FaultList],
     ) -> "CampaignResult | None":
-        """The stored result for ``key`` over ``fault_list``, or ``None``.
+        """The stored result for ``key``, or ``None`` on a miss.
 
-        A record for another universe size, or a malformed one, is a
-        miss too: the caller re-grades.
+        ``fault_list`` is the universe, or a builder the replayed result
+        calls on its first per-fault access (:func:`result_from_payload`).
+        A record that does not decode — a column of the wrong length, a
+        class count that disagrees with a given ``fault_list`` — is
+        quarantined and counted as a miss: the caller re-grades.
         """
-        payload = self.load_verdicts(key)
-        if payload is None:
-            return None
-        try:
-            if int(payload["n_classes"]) != fault_list.n_collapsed:
-                return None
-            return result_from_payload(payload, name, fault_list)
-        except (KeyError, TypeError, ValueError):
-            return None
+        doc = self._load(_VERDICTS, key)
+        if doc is not None:
+            try:
+                result = result_from_payload(doc, name, fault_list)
+            except (KeyError, TypeError, ValueError):
+                self._quarantine(self._path(_VERDICTS, key))
+            else:
+                self.stats.verdict_hits += 1
+                return result
+        self.stats.verdict_misses += 1
+        return None
 
     def save_verdicts(self, key: str, payload: Mapping[str, object]) -> bool:
         """Persist one component verdict payload."""
@@ -426,73 +446,161 @@ def _trace_from_doc(doc: dict) -> GoodTrace:
 # ---------------------------------------------------- verdict (de)coding
 
 
+# A record is a verdict table plus two per-class columns.  The table
+# holds each distinct Detection once (collapsed members share their
+# super-class's verdict, so phase A has about one per nine classes): one
+# flag byte (bit 0 detected, bit 1 excited), the first detecting cycle
+# (int32, -1 for none) and the lane word (unsigned, as wide as the
+# record's widest word).  Per class: its representative and its table
+# row (both uint32).  Every column is a little-endian fixed-width array,
+# base64-encoded into the JSON payload under the checksummed header.
+
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
+_I32 = _U32.lower()
+_DETECTED, _EXCITED = 1, 2
+
+
+def _encode(column: array[int] | bytes) -> str:
+    if isinstance(column, array) and sys.byteorder != "little":
+        column = array(column.typecode, column)  # pragma: no cover
+        column.byteswap()  # pragma: no cover
+    return b64encode(column).decode("ascii")
+
+
+def _bytes(payload: Mapping[str, object], name: str) -> bytes:
+    return b64decode(str(payload[name]), validate=True)
+
+
+def _column(payload: Mapping[str, object], name: str, typecode: str) -> array[int]:
+    column = array(typecode, _bytes(payload, name))
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+        column.byteswap()
+    return column
+
+
+def _int(payload: Mapping[str, object], name: str) -> int:
+    value = payload[name]
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer")
+    return value
+
+
+def _int_set(payload: Mapping[str, object], name: str) -> set[int]:
+    values = payload[name]
+    if not isinstance(values, list):
+        raise TypeError(f"{name} must be a list")
+    return {int(v) for v in values}
+
+
 def verdicts_payload(result: "CampaignResult") -> dict:
     """Serialize one full-universe grade to a JSON-safe payload."""
-    detections = {
-        str(rep): [
-            1 if det.detected else 0,
-            det.cycle,
-            format(det.lanes, "x"),
-            1 if det.excited else 0,
-        ]
-        for rep, det in result.detections.items()
-    }
+    table: dict[Detection, int] = {}  # distinct verdict -> its row
+    rows = array(_U32, [
+        table.setdefault(det, len(table))
+        for det in result.detections.values()
+    ])
+    width = (max((d.lanes for d in table), default=0).bit_length() + 7) // 8
     return {
         "name": result.name,
-        "n_classes": result.fault_list.n_collapsed,
+        "n_classes": result.n_faults,
         "n_patterns": result.n_patterns,
-        "detected": sorted(result.detected),
         "pruned": sorted(result.pruned),
         "proven": sorted(result.proven),
         "n_simulated": result.n_simulated,
         "n_inferred": result.n_inferred,
         "collapse_hash": result.collapse_hash,
-        "detections": detections,
+        "reps": _encode(array(_U32, result.detections)),
+        "rows": _encode(rows),
+        "flags": _encode(bytes(
+            _DETECTED * d.detected | _EXCITED * d.excited for d in table
+        )),
+        "cycles": _encode(array(
+            _I32, [-1 if d.cycle is None else d.cycle for d in table]
+        )),
+        "lane_bytes": width,
+        "lanes": _encode(b"".join(
+            d.lanes.to_bytes(width, "little") for d in table
+        )),
     }
 
 
 def result_from_payload(
     payload: Mapping[str, object],
     name: str,
-    fault_list: "FaultList",
+    fault_list: FaultList | Callable[[], FaultList],
 ) -> "CampaignResult":
     """Rebuild a :class:`CampaignResult` from a stored verdict payload.
 
-    The fault universe is regenerated deterministically by the caller
-    (same structural hash, same canonical ordering), so representative
-    indices in the payload line up with ``fault_list``.  The rebuilt
-    result is marked ``cache_hit`` and reports zero simulated classes.
+    Representative indices line up with the canonical universe
+    (``build_fault_list``), which the structural hash and
+    :data:`~repro.faultsim.faults.FAULT_EPOCH` in the key pin.  The
+    result takes ``n_faults`` from the record; ``fault_list`` is either
+    that universe (checked against the record's class count) or a
+    builder the result runs on its first per-fault access.  Every
+    detection is decoded here, eagerly; classes with equal verdicts
+    share one (immutable) :class:`Detection`.  The result is marked
+    ``cache_hit`` and reports zero simulated classes.
 
     Raises:
-        KeyError / TypeError / ValueError: malformed payload — callers
-            treat this as a miss and re-grade.
+        KeyError / TypeError / ValueError: malformed payload (a missing
+            field, a column of the wrong length, a row or flag out of
+            range, a class count the given ``fault_list`` disagrees
+            with) — callers treat it as a miss and re-grade.
     """
     from repro.faultsim.harness import CampaignResult
 
-    detections: dict[int, Detection] = {}
-    raw = payload["detections"]
-    if not isinstance(raw, Mapping):
-        raise TypeError("detections must be a mapping")
-    for rep, fields in raw.items():
-        det, cycle, lanes_hex, excited = fields  # type: ignore[misc]
-        detections[int(rep)] = Detection(
-            bool(det),
-            None if cycle is None else int(cycle),
-            int(str(lanes_hex), 16) if lanes_hex else 0,
-            excited=bool(excited),
+    n_classes = _int(payload, "n_classes")
+    if isinstance(fault_list, FaultList) and (
+        fault_list.n_collapsed != n_classes
+    ):
+        raise ValueError(
+            f"record holds {n_classes} classes, the universe "
+            f"{fault_list.n_collapsed}"
         )
+    reps = _column(payload, "reps", _U32)
+    rows = _column(payload, "rows", _U32)
+    flags = _bytes(payload, "flags")
+    cycles = _column(payload, "cycles", _I32)
+    width = _int(payload, "lane_bytes")
+    lane_bytes = _bytes(payload, "lanes")
+    n, n_verdicts = len(reps), len(flags)
+    if not (
+        n <= n_classes and len(rows) == n
+        and max(rows, default=-1) < n_verdicts
+        and len(cycles) == n_verdicts and width >= 0
+        and len(lane_bytes) == n_verdicts * width
+        and max(flags, default=0) <= _DETECTED | _EXCITED
+        and min(cycles, default=0) >= -1
+    ):
+        raise ValueError("verdict columns disagree in length or range")
+    lanes: Iterable[int] = (
+        [
+            int.from_bytes(lane_bytes[i:i + width], "little")
+            for i in range(0, n_verdicts * width, width)
+        ]
+        if width else repeat(0, n_verdicts)
+    )
+    table = [
+        Detection(
+            bool(flag & _DETECTED), None if cycle < 0 else cycle, lane,
+            excited=bool(flag & _EXCITED),
+        )
+        for flag, cycle, lane in zip(flags, cycles, lanes, strict=True)
+    ]
+    detections = dict(zip(reps, map(table.__getitem__, rows), strict=True))
+    if len(detections) != n:
+        raise ValueError("a representative appears twice")
     result = CampaignResult(
         name,
         fault_list,
-        detected={int(r) for r in payload["detected"]},  # type: ignore[union-attr]
+        detected={rep for rep, det in detections.items() if det.detected},
         detections=detections,
-        n_patterns=int(payload["n_patterns"]),  # type: ignore[arg-type]
-        pruned={int(r) for r in payload["pruned"]},  # type: ignore[union-attr]
-        proven={int(r) for r in payload["proven"]},  # type: ignore[union-attr]
+        n_patterns=_int(payload, "n_patterns"),
+        pruned=_int_set(payload, "pruned"),
+        proven=_int_set(payload, "proven"),
+        n_classes=n_classes,
     )
     result.collapse_hash = str(payload.get("collapse_hash", ""))
-    result.n_simulated = 0
-    result.n_inferred = 0
     result.cache_hit = True
     return result
 
@@ -502,7 +610,6 @@ def verdict_key_for(
     netlist: "Netlist",
     stimulus: Sequence[Mapping[str, int]],
     plan: "ObservePlan",
-    fault_list: "FaultList",
     *,
     prune_mode: str,
     collapse_epoch: str,
@@ -510,8 +617,8 @@ def verdict_key_for(
     """The store key of one full-universe component grade.
 
     Computed by :class:`repro.faultsim.engine.PreparedGrade` before it
-    collapses, resolves an engine or simulates, so :func:`grade` and a
-    campaign address the same record.
+    builds the fault list, collapses, resolves an engine or simulates,
+    so :func:`grade` and a campaign address the same record.
     ``collapse_epoch`` is :data:`repro.analysis.collapse.COLLAPSE_EPOCH`
     when the grade runs through a collapse map (computed or passed in)
     and ``""`` otherwise.
@@ -527,5 +634,5 @@ def verdict_key_for(
         observe_sig=plan.signature(),
         prune_mode=prune_mode,
         collapse_epoch=collapse_epoch,
-        universe=f"{fault_list.n_prime}:{fault_list.n_collapsed}",
+        fault_epoch=FAULT_EPOCH,
     )

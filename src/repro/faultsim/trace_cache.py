@@ -190,7 +190,10 @@ def good_trace_for(
             single-lane cycle sequence (sequential components).
         cache: cache instance (default: the process-wide one).
         store: persistent store behind the cache: an in-memory miss
-            loads the trace from it, or simulates and saves it there.
+            loads the trace from it, or simulates it; a trace that did
+            not come from the store — simulated now, or already in
+            memory (built by a grade without a store, or inherited by a
+            forked worker) — is written to it unless it holds one.
             Only :class:`~repro.faultsim.engine.PreparedGrade` passes
             one, on a verdict miss; the engines' own lookups then hit
             the in-memory cache.
@@ -198,30 +201,38 @@ def good_trace_for(
     cache = cache if cache is not None else _GLOBAL
     mode = "packed" if packed else "sequence"
     key = cache.key_for(netlist, stimulus, mode)
+    store_key = ""
+    if store is not None:
+        structural, stim_hash, n_entries, _ = key
+        store_key = store.trace_key(structural, stim_hash, n_entries, mode)
+    source = "memory"
 
     def build() -> GoodTrace:
-        store_key = ""
+        nonlocal source
         if store is not None:
-            structural, stim_hash, n_entries, _ = key
-            store_key = store.trace_key(structural, stim_hash, n_entries, mode)
             trace = store.load_trace(store_key)
             # A trace whose net count disagrees with the live netlist can
             # only come from a record-format drift; treat it as a miss.
             if trace is not None and (
                 not trace.values or len(trace.values[0]) == netlist.n_nets
             ):
+                source = "store"
                 return trace
+        source = "simulated"
         sim = LogicSimulator(netlist)
         if packed:
-            trace = sim.run_parallel_sessions([[dict(p)] for p in stimulus])
-        else:
-            _, trace = sim.run_sequence(stimulus, record=True)
-            assert trace is not None
-        if store is not None:
-            store.save_trace(store_key, trace)
+            return sim.run_parallel_sessions([[dict(p)] for p in stimulus])
+        _, trace = sim.run_sequence(stimulus, record=True)
+        assert trace is not None
         return trace
 
-    return cache.get_or_build(key, build)
+    trace = cache.get_or_build(key, build)
+    if store is not None and (
+        source == "simulated"
+        or (source == "memory" and not store.has_trace(store_key))
+    ):
+        store.save_trace(store_key, trace)
+    return trace
 
 
 def _child_init() -> None:  # pragma: no cover - exercised via fork

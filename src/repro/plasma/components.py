@@ -10,8 +10,9 @@ renderers) reads this registry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from collections.abc import Callable
+from dataclasses import dataclass
+from functools import cache
 
 from repro.library import (
     build_alu,
@@ -20,7 +21,7 @@ from repro.library import (
     build_register_file,
 )
 from repro.netlist.netlist import Netlist
-from repro.netlist.stats import gate_count
+from repro.netlist.stats import NetlistStats, gate_count
 from repro.plasma.busmux import build_busmux
 from repro.plasma.control_unit import build_control
 from repro.plasma.glue import build_glue
@@ -131,6 +132,14 @@ def build_component(name: str) -> Netlist:
     return component(name).builder()
 
 
+@cache
+def component_stats(info: ComponentInfo) -> NetlistStats:
+    """Gate statistics of ``info``'s netlist as built (Table 3 area),
+    measured once per process: the test-development order and every
+    campaign read them, and the netlist is deterministic."""
+    return gate_count(info.builder())
+
+
 def component_table() -> list[dict]:
     """Classification + measured gate counts (Tables 2 and 3 in one).
 
@@ -139,7 +148,7 @@ def component_table() -> list[dict]:
     """
     rows = []
     for info in COMPONENTS:
-        stats = gate_count(info.builder())
+        stats = component_stats(info)
         rows.append(
             {
                 "name": info.name,

@@ -1,13 +1,16 @@
-"""Pin the collapse and fault-universe output behind ``COLLAPSE_EPOCH``.
+"""Pin the collapse and fault-universe output behind ``COLLAPSE_EPOCH``
+and ``FAULT_EPOCH``.
 
-Persistent-store verdict keys carry the collapse epoch tag, not the
-collapse hash: a store hit replays a record without building the map.
-That is sound only while the map and the fault order are a function of
-the netlist structure and the tag.  This test pins both for every
-phase-A component, so a change to ``compute_collapse`` or to
+Persistent-store verdict keys carry the collapse and fault-universe
+epoch tags, not the collapse hash or the universe: a store hit replays a
+record without building the map or the fault list.  That is sound only
+while the map and the fault order and classes are a function of the
+netlist structure and the tags.  This test pins both for every phase-A
+component, so a change to ``compute_collapse`` or to
 ``build_fault_list`` cannot reach a store silently: whoever changes the
-output must bump the tag and re-pin here (the tag is hashed into every
-``collapse_hash``, so a bump alone also shows up as a mismatch).
+output must bump the tag and re-pin here.  ``COLLAPSE_EPOCH`` is hashed
+into every ``collapse_hash``, and the universe digests are pinned under
+``PINNED_FAULT_EPOCH``, so a bump alone also shows up as a mismatch.
 """
 
 import hashlib
@@ -16,7 +19,7 @@ import random
 import pytest
 
 from repro.analysis.collapse import compute_collapse
-from repro.faultsim.faults import build_fault_list, fault_token
+from repro.faultsim.faults import FAULT_EPOCH, build_fault_list, fault_token
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
 from repro.plasma.components import COMPONENTS
@@ -53,9 +56,13 @@ PINNED_SYNTHETIC = {
         "962046e7e9b32be529e24561edc61995"),
 }
 
+#: The fault-universe epoch the digests above were pinned under.
+PINNED_FAULT_EPOCH = "faults-v1"
+
 BUMP = (
     "collapse or fault-universe output changed: bump `COLLAPSE_EPOCH` "
-    "(store records would otherwise replay stale inferred witnesses)"
+    "(collapse hash) or `FAULT_EPOCH` (universe digest) and re-pin "
+    "(store records would otherwise replay stale verdicts)"
 )
 
 
@@ -104,3 +111,10 @@ def test_collapse_output_matches_the_epoch(info):
 @pytest.mark.parametrize("seed", sorted(PINNED_SYNTHETIC))
 def test_every_gate_type_matches_the_epoch(seed):
     assert _pinned(_every_gate_type(seed)) == PINNED_SYNTHETIC[seed], BUMP
+
+
+def test_digests_are_pinned_under_the_current_fault_epoch():
+    assert FAULT_EPOCH == PINNED_FAULT_EPOCH, (
+        "FAULT_EPOCH was bumped: re-pin the universe digests above and "
+        "PINNED_FAULT_EPOCH"
+    )

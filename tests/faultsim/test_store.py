@@ -110,7 +110,8 @@ class TestWarmReplay:
             netlist, _alu_patterns(), fault_list,
             GradeOptions(cache=store, subset=reps[: len(reps) // 2]),
         )
-        assert _record_paths(store) == []  # no trace root either
+        # The good trace is written through; the partial verdicts are not.
+        assert store.record_count() == (1, 0)
         assert store.stats.verdict_hits == 0
 
 
@@ -130,6 +131,8 @@ class TestCorruption:
             blob = bytearray(path.read_bytes())
             blob[len(blob) // 2] ^= 0x40
             path.write_bytes(bytes(blob))
+        # As in a new process: the good trace must come from its record.
+        global_trace_cache().clear()
         regraded = grade(netlist, stimulus, options=GradeOptions(cache=store))
         assert not regraded.cache_hit  # every record was corrupt
         assert store.stats.corrupt >= len(paths)
@@ -192,11 +195,11 @@ class TestCorruption:
         restored = result_from_payload(good, "ALU", fault_list)
         assert restored.cache_hit and restored.n_simulated == 0
         bad = dict(good)
-        bad["detections"] = "oops"
+        bad["flags"] = "oops"
         with pytest.raises((KeyError, TypeError, ValueError)):
             result_from_payload(bad, "ALU", fault_list)
         missing = dict(good)
-        del missing["detected"]
+        del missing["reps"]
         with pytest.raises((KeyError, TypeError, ValueError)):
             result_from_payload(missing, "ALU", fault_list)
 
@@ -303,13 +306,17 @@ def ctrl_spec():
 
 
 def _count_analysis(monkeypatch):
-    """Count collapse maps built, engines resolved and prune sets made.
+    """Count fault lists, collapse maps, engines, prune sets and good
+    traces built.
 
-    Patched only where :class:`PreparedGrade` calls them: the one
-    pipeline behind ``grade()`` and every campaign path.
+    Fault lists are counted as they are constructed, wherever that
+    happens, and good traces on the in-memory cache every engine goes
+    through; the rest are patched where :class:`PreparedGrade` (the one
+    pipeline behind ``grade()`` and every campaign path) calls them.
     """
     import repro.analysis.collapse as collapse_mod
     import repro.faultsim.engine as engine_mod
+    from repro.faultsim.faults import FaultList
 
     calls = []
 
@@ -323,15 +330,23 @@ def _count_analysis(monkeypatch):
         collapse_mod, "compute_collapse",
         counting("compute_collapse", collapse_mod.compute_collapse),
     )
-    for name in ("resolve_engine", "prune_sets"):
+    monkeypatch.setattr(
+        FaultList, "__init__", counting("FaultList", FaultList.__init__)
+    )
+    for name in ("resolve_engine", "prune_sets", "good_trace_for"):
         monkeypatch.setattr(
             engine_mod, name, counting(name, getattr(engine_mod, name))
         )
+    cache = global_trace_cache()
+    monkeypatch.setattr(
+        cache, "get_or_build", counting("get_or_build", cache.get_or_build)
+    )
     return calls
 
 
 class TestStoreHitSkipsAnalysis:
-    """A store hit costs the fault list and one record read, nothing more."""
+    """A store hit costs the key and one record read: it builds no fault
+    list, collapse map, engine, prune sets or good trace."""
 
     @pytest.mark.parametrize("jobs", [None, 2], ids=("in-process", "jobs2"))
     def test_warm_campaign_builds_no_map_and_no_engine(
@@ -396,6 +411,23 @@ class TestStoreHitSkipsAnalysis:
         assert mapped.collapse_hash == cmap.collapse_hash
 
 
+    def test_replayed_result_builds_its_fault_list_on_first_use(
+        self, tmp_path, monkeypatch
+    ):
+        netlist = build_alu(width=4)
+        opts = GradeOptions(cache=TraceStore(tmp_path), collapse=True)
+        cold = grade(netlist, _alu_patterns(), options=opts)
+        calls = _count_analysis(monkeypatch)
+        warm = grade(netlist, _alu_patterns(), options=opts)
+        assert warm.cache_hit
+        assert warm.n_faults == cold.n_faults
+        assert warm.excitation_report() == cold.excitation_report()
+        assert warm.to_component_coverage() == cold.to_component_coverage()
+        assert calls == []
+        assert warm.undetected_faults() == cold.undetected_faults()
+        assert warm.fault_list.n_collapsed == cold.n_faults
+        assert calls == ["FaultList"]
+
 _real_grade_shard = sharded_mod.grade_shard
 
 
@@ -413,13 +445,9 @@ class TestVerdictMissLoadsTraceFromStore:
     """A verdict miss over a known stimulus reads its good trace from the
     store instead of simulating it again, on every grading path.
 
-    The in-memory cache is cleared before the cold grade too: a trace
-    found there is never written to the store.
+    No test clears the in-memory cache before its cold grade: a trace
+    found there is written through to the store all the same.
     """
-
-    @pytest.fixture(autouse=True)
-    def _cold_memory(self):
-        global_trace_cache().clear()
 
     def test_grade(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -450,10 +478,14 @@ class TestVerdictMissLoadsTraceFromStore:
     def test_pooled_campaign(self, tmp_path, monkeypatch):
         from repro.runtime import RuntimeConfig
 
+        # CTRL's good trace sits in this process's memory, so the cold
+        # run's forked workers inherit it instead of simulating it.
+        run_campaign("A", components=["CTRL"])
         root = tmp_path / "store"
         runtime = RuntimeConfig(jobs=2)
         cold = run_campaign("A", components=["CTRL"], runtime=runtime,
                             options=GradeOptions(cache=TraceStore(root)))
+        assert TraceStore(root).record_count() == (1, 1)
         global_trace_cache().clear()
         monkeypatch.setattr(
             sharded_mod, "grade_shard", _shard_reporting_trace_hits

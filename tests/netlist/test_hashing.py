@@ -65,3 +65,23 @@ class TestStimulusHash:
         # Two one-port entries must not collide with one two-port entry.
         assert stimulus_hash([dict(a=1), dict(b=2)]) \
             != stimulus_hash([dict(a=1, b=2)])
+
+    def test_port_insertion_order_irrelevant_across_entries(self):
+        forward = [dict(a=1, b=2, c=3), dict(a=4, b=5, c=6)]
+        mixed = [dict(c=3, a=1, b=2), dict(b=5, c=6, a=4)]
+        assert stimulus_hash(forward) == stimulus_hash(mixed)
+
+    def test_one_entry_port_set_disambiguated(self):
+        # Same values, same ports overall: only one entry's port set
+        # differs.
+        base = [dict(a=1, b=2), dict(a=3, b=4), dict(a=5)]
+        moved = [dict(a=1, b=2), dict(a=3, b=4), dict(b=5)]
+        grown = [dict(a=1, b=2), dict(a=3, b=4), dict(a=5, b=0)]
+        hashes = {stimulus_hash(s) for s in (base, moved, grown)}
+        assert len(hashes) == 3
+
+    def test_uniform_and_ragged_layouts_never_collide(self):
+        assert stimulus_hash([dict(a=1), dict(b=1)]) \
+            != stimulus_hash([dict(b=1), dict(a=1)])
+        assert stimulus_hash([{}]) != stimulus_hash([{}, {}])
+        assert stimulus_hash([]) != stimulus_hash([{}])

@@ -120,6 +120,7 @@ class TestInProcess:
     def test_planner_objects_reused_then_released(self, monkeypatch):
         import repro.analysis.collapse as collapse_mod
         import repro.core.campaign as campaign_mod
+        import repro.faultsim.engine as engine_mod
 
         built = []
         held = []
@@ -135,7 +136,8 @@ class TestInProcess:
             held.append(set(context.components))
             return _real_grade_shard(name, lo, hi)
 
-        for module in (campaign_mod, sharded_mod):
+        # The prepared grade builds the fault list on first use.
+        for module in (campaign_mod, engine_mod):
             monkeypatch.setattr(
                 module, "build_fault_list", counting(module.build_fault_list)
             )
