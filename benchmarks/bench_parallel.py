@@ -6,7 +6,7 @@ acceptance properties of the parallel scheduler:
 
 * **Equality (always gated)** — every worker count must merge to a
   result *bit-identical* to the serial run: detected sets, per-fault
-  verdicts, pruned sets and the rendered Table 5 rows.  Parallelism is
+  verdicts, proven sets and the rendered Table 5 rows.  Parallelism is
   an implementation detail; it must never change the science.
 * **Speedup (gated on hardware)** — with >= 4 usable cores, 4 workers
   must reach >= 2.5x over the serial run.  On smaller machines (CI
@@ -142,9 +142,9 @@ def run_bench(quick: bool) -> tuple[str, dict, list[str]]:
         for name in components:
             a = serial.results[name]
             b = outcome.results[name]
-            if a.detected != b.detected or a.pruned != b.pruned:
+            if a.detected != b.detected or a.proven != b.proven:
                 failures.append(
-                    f"jobs={jobs}: {name} detected/pruned sets differ"
+                    f"jobs={jobs}: {name} detected/proven sets differ"
                 )
         if _verdicts(outcome) != want_verdicts:
             failures.append(

@@ -673,7 +673,7 @@ def sat_spot_check(
     independently; pass a large value for an exhaustive check.
     """
     # Local import: repro.formal sits above repro.analysis in the
-    # layering, so the dependency must stay lazy (mirrors prune_sets).
+    # layering, so the dependency must stay lazy (mirrors prune_set).
     from repro.formal.redundancy import FaultMiterSession
 
     faults = cmap.fault_list.faults

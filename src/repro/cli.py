@@ -541,11 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--no-isolate", action="store_true",
                      help="run grading jobs in-process (no timeouts)")
     p_c.add_argument("--prune-untestable", action="store_true",
-                     help="skip simulating structurally untestable fault "
-                          "classes (SCOAP screening) and SAT-certify them "
-                          "(repro.formal); proven-redundant classes are "
-                          "excluded from the FC denominator, so coverage "
-                          "can only stay equal or improve")
+                     help="SAT-certify the structurally untestable fault "
+                          "classes (SCOAP screening, repro.formal) and "
+                          "exclude the proven-redundant ones from the FC "
+                          "denominator; every class is still simulated, "
+                          "so coverage can only stay equal or improve")
     p_c.add_argument("--engine", choices=engine_choices, default="auto",
                      help="fault-sim engine (default: auto — packed for "
                           "deep combinational components, differential "

@@ -48,7 +48,12 @@ from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
 from repro.netlist.netlist import Netlist
-from repro.plasma.components import COMPONENTS, ComponentInfo, component_stats
+from repro.plasma.components import (
+    COMPONENTS,
+    ComponentInfo,
+    component_netlist,
+    component_stats,
+)
 from repro.plasma.cpu import CPUResult, PlasmaCPU
 from repro.plasma.memory import Memory
 from repro.plasma.tracer import ComponentTracer
@@ -224,8 +229,8 @@ def _plan_component(
     jobs: int,
     in_process: bool,
 ) -> _ComponentPlan:
-    """Build and prepare one component once, measure its area and shard
-    its universe.
+    """Prepare one component once, measure its area and shard its
+    universe.
 
     Shard bounds index :attr:`PreparedGrade.universe`: base class
     representatives uncollapsed, super-class simulation units collapsed.
@@ -239,9 +244,8 @@ def _plan_component(
     their own.
     """
     options = context.options
-    netlist = info.builder()
     nand2 = component_stats(info).nand2  # Table 3 area: pre-transform
-    prepared = context.prepare(info.name, netlist)
+    prepared = context.prepare(info.name)
     plan = _ComponentPlan(info, prepared, nand2)
     if not prepared.stimulus:
         # The program never excited this component: all faults stay
@@ -366,8 +370,8 @@ def _progress_line(
         extras += f", engine {plan.engine}"
         if plan.prepared.netlist.dffs:
             extras += f" (held {held_share(plan.prepared.stimulus):.0%})"
-    if result.pruned:
-        extras += f", {result.n_pruned} pruned"
+    if result.proven:
+        extras += f", {result.n_proven} proven-redundant"
     if result.n_inferred:
         extras += f", {result.n_inferred} inferred"
     if result.cache_hit:

@@ -17,7 +17,7 @@ component's fault universe into contiguous shards
   process the campaign planner's prepared grade is the one the shards
   use, released once the component is merged; a pool worker prepares
   its own on the component's first shard and keeps one component at a
-  time.  The collapse map, engine and prune sets are therefore built
+  time.  The collapse map, engine and prune set are therefore built
   once per process and component, and every shard only pays for its own
   faults.
 * the **deterministic merge** (:func:`merge_shard_results`): shard
@@ -42,7 +42,7 @@ from repro.faultsim.harness import CampaignResult
 from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
 from repro.netlist.netlist import Netlist
-from repro.plasma.components import component
+from repro.plasma.components import component, component_netlist
 
 
 @dataclass
@@ -72,15 +72,13 @@ class ShardContext:
         default_factory=dict, repr=False, compare=False
     )
 
-    def prepare(
-        self, name: str, netlist: Netlist | None = None
-    ) -> PreparedGrade:
-        """``name``'s grade in this campaign, from ``netlist`` (default:
-        built fresh) after the netlist transform, with the component's
-        observability and name stamped on the options.  The fault list
-        is built on first use, so a store hit never builds it."""
-        if netlist is None:
-            netlist = component(name).builder()
+    def prepare(self, name: str) -> PreparedGrade:
+        """``name``'s grade in this campaign, from the process's one build
+        of its netlist (:func:`~repro.plasma.components.component_netlist`)
+        after the netlist transform, with the component's observability
+        and name stamped on the options.  The fault list is built on
+        first use, so a store hit never builds it."""
+        netlist = component_netlist(component(name))
         if self.netlist_transform is not None:
             netlist = self.netlist_transform(netlist)
         return PreparedGrade(
@@ -104,7 +102,6 @@ class ShardVerdict:
     n_classes: int
     n_patterns: int
     detected: tuple[int, ...]
-    pruned: tuple[int, ...]
     proven: tuple[int, ...] = ()
     detections: dict[int, Detection] = field(default_factory=dict)
     n_simulated: int = 0
@@ -155,7 +152,6 @@ def grade_shard(name: str, lo: int, hi: int) -> ShardVerdict:
         n_classes=prepared.fault_list.n_collapsed,
         n_patterns=len(prepared.stimulus),
         detected=tuple(sorted(result.detected)),
-        pruned=tuple(sorted(result.pruned)),
         proven=tuple(sorted(result.proven)),
         detections=dict(result.detections),
         n_simulated=result.n_simulated,
@@ -176,7 +172,6 @@ def shard_record(verdict: ShardVerdict) -> dict[str, object]:
         "n_classes": verdict.n_classes,
         "n_patterns": verdict.n_patterns,
         "detected": list(verdict.detected),
-        "pruned": list(verdict.pruned),
         "proven": list(verdict.proven),
         "n_simulated": verdict.n_simulated,
         "n_inferred": verdict.n_inferred,
@@ -200,7 +195,6 @@ def record_to_verdict(
             n_classes=int(record["n_classes"]),
             n_patterns=int(record["n_patterns"]),
             detected=tuple(int(r) for r in record["detected"]),
-            pruned=tuple(int(r) for r in record.get("pruned", ())),
             proven=tuple(int(r) for r in record.get("proven", ())),
             n_simulated=int(record.get("n_simulated", 0)),
             n_inferred=int(record.get("n_inferred", 0)),
@@ -223,7 +217,7 @@ def merge_shard_results(
 ) -> CampaignResult:
     """Union shard verdicts back into one component result.
 
-    Order-independent and deterministic: ``detected`` / ``pruned`` are
+    Order-independent and deterministic: ``detected`` / ``proven`` are
     set unions, ``detections`` is keyed by class representative and each
     representative belongs to exactly one shard.  Shards missing from
     ``verdicts`` (permanently failed) simply contribute no detections —
@@ -245,7 +239,6 @@ def merge_shard_results(
                 f"yields {fault_list.n_collapsed}"
             )
         result.detected.update(verdict.detected)
-        result.pruned.update(verdict.pruned)
         result.proven.update(verdict.proven)
         result.detections.update(verdict.detections)
         result.n_simulated += verdict.n_simulated

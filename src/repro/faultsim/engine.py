@@ -73,7 +73,7 @@ __all__ = [
     "engine_names",
     "get_engine",
     "grade",
-    "prune_sets",
+    "prune_set",
     "resolve_engine",
     "resolve_prune_mode",
 ]
@@ -94,10 +94,9 @@ class FaultSimEngine(Protocol):
         plan: ObservePlan,
         *,
         name: str = "",
-        skip: frozenset[int] = frozenset(),
         only: Sequence[int] | None = None,
     ) -> CampaignResult:
-        """Grade every collapsed fault class not in ``skip``.
+        """Grade every collapsed fault class.
 
         ``stimulus`` is a non-empty pattern set (combinational netlist —
         unordered, engines may pack or reorder) or cycle sequence
@@ -116,15 +115,13 @@ class FaultSimEngine(Protocol):
 
 
 def _graded_reps(
-    fault_list: FaultList,
-    skip: frozenset[int],
-    only: Sequence[int] | None = None,
+    fault_list: FaultList, only: Sequence[int] | None = None
 ) -> list[int]:
     reps = fault_list.class_representatives()
-    if only is not None:
-        wanted = set(only)
-        reps = [r for r in reps if r in wanted]
-    return [r for r in reps if r not in skip]
+    if only is None:
+        return reps
+    wanted = set(only)
+    return [r for r in reps if r in wanted]
 
 
 def _excited_packed(fault: Fault, trace: GoodTrace) -> bool:
@@ -162,7 +159,6 @@ class DifferentialEngine:
         plan: ObservePlan,
         *,
         name: str = "",
-        skip: frozenset[int] = frozenset(),
         only: Sequence[int] | None = None,
     ) -> CampaignResult:
         packed = not netlist.dffs
@@ -175,10 +171,9 @@ class DifferentialEngine:
         else:
             observe_nets = plan.net_masks(netlist, trace.lanes.mask)
         result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
+            name or netlist.name, fault_list, n_patterns=len(stimulus)
         )
-        for rep in _graded_reps(fault_list, skip, only):
+        for rep in _graded_reps(fault_list, only):
             detection = sim.simulate_fault(
                 fault_list.fault(rep), trace, observe_nets
             )
@@ -191,32 +186,22 @@ class DifferentialEngine:
 # ------------------------------------------------------------ prune modes
 
 
-def prune_sets(
+def prune_set(
     netlist: Netlist, fault_list: FaultList, mode: str
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The ``(skip, proven)`` sets for a normalised prune mode.
+) -> frozenset[int]:
+    """The classes a normalised prune mode removes from the FC denominator.
 
-    ``skip`` is what the engines do not simulate (the SCOAP structural
-    screen); ``proven`` is the SAT-certified-redundant subset excluded
-    from coverage denominators (empty unless ``mode == "proven"``).
+    Empty unless ``mode == "proven"``; then the SCOAP-screened classes
+    that hold a SAT redundancy certificate.  Every class is simulated
+    either way: the set only moves the denominator.
     """
     if not mode:
-        return frozenset(), frozenset()
-    # Local imports: repro.analysis.scoap imports this package's fault
-    # model and repro.formal sits above both, so the dependencies must
-    # stay one-way at load time.
-    from repro.analysis.scoap import compute_scoap, untestable_fault_classes
-
-    analysis = compute_scoap(netlist)
-    skip = frozenset(untestable_fault_classes(fault_list, analysis))
-    if mode != "proven":
-        return skip, frozenset()
+        return frozenset()
+    # Local import: repro.formal sits above this package (it imports the
+    # fault model), so the dependency must stay one-way at load time.
     from repro.formal.redundancy import prove_untestable
 
-    screen = prove_untestable(
-        netlist, fault_list, candidates=skip, analysis=analysis
-    )
-    return skip, screen.proven
+    return prove_untestable(netlist, fault_list).proven
 
 
 # ----------------------------------------------------------------- selection
@@ -307,7 +292,6 @@ def _grade_collapsed(
     cmap: CollapseMap,
     *,
     name: str = "",
-    skip: frozenset[int] = frozenset(),
     supers: Sequence[int] | None = None,
     restrict: frozenset[int] | None = None,
 ) -> CampaignResult:
@@ -315,9 +299,9 @@ def _grade_collapsed(
 
     Two engine passes at most:
 
-    1. every non-dominator super-class simulates its *sim unit* — the
-       first canonical-order member not in ``skip`` (a per-super choice,
-       independent of sharding, so partitioned runs agree);
+    1. every non-dominator super-class simulates its *sim unit* — its
+       first canonical-order member (a per-super choice, independent of
+       sharding, so partitioned runs agree);
     2. dominators are walked children-before-parents: a detected child
        lets the dominator *infer* a detection (same cycle/lanes witness,
        see the module docstring caveat); dominators whose children are
@@ -334,14 +318,8 @@ def _grade_collapsed(
     *expanded* verdicts to the listed class representatives (the
     ``grade(subset=...)`` contract).
     """
-    ordered = list(supers) if supers is not None else cmap.simulation_order()
-    unit_of: dict[int, int] = {}
-    for s in ordered:
-        for member in cmap.members(s):
-            if member not in skip:
-                unit_of[s] = member
-                break
-    graded = [s for s in ordered if s in unit_of]
+    graded = list(supers) if supers is not None else cmap.simulation_order()
+    unit_of = {s: cmap.members(s)[0] for s in graded}
 
     verdicts: dict[int, Detection] = {}
     n_simulated = 0
@@ -353,7 +331,7 @@ def _grade_collapsed(
         units = [unit_of[s] for s in batch]
         batch_result = selected.grade(
             netlist, stimulus, fault_list, plan,
-            name=name or netlist.name, skip=skip, only=units,
+            name=name or netlist.name, only=units,
         )
         for s, unit in zip(batch, units, strict=True):
             verdicts[s] = batch_result.detections[unit]
@@ -377,8 +355,8 @@ def _grade_collapsed(
                 )
                 break
         if inferred is None:
-            # All children undetected, skipped, or graded in another
-            # shard: simulate the dominator itself (exact, conservative).
+            # All children undetected, or graded in another shard:
+            # simulate the dominator itself (exact, conservative).
             pending.append(dom)
         else:
             verdicts[dom] = inferred
@@ -386,8 +364,7 @@ def _grade_collapsed(
     simulate(pending)
 
     result = CampaignResult(
-        name or netlist.name, fault_list,
-        n_patterns=len(stimulus), pruned=set(skip),
+        name or netlist.name, fault_list, n_patterns=len(stimulus)
     )
     packed = not netlist.dffs
     trace = good_trace_for(netlist, stimulus, packed=packed)
@@ -395,8 +372,6 @@ def _grade_collapsed(
         verdict = verdicts[s]
         unit = unit_of[s]
         for member in cmap.members(s):
-            if member in skip:
-                continue
             if restrict is not None and member not in restrict:
                 continue
             if verdict.detected or member == unit:
@@ -430,7 +405,7 @@ class PreparedGrade:
     first use).  The observe plan and the verdict key come first, so
     :meth:`replay` reads a stored record before anything else is built:
     a hit builds no fault list.  The fault list, the collapse map, the
-    engine, the ``(skip, proven)`` prune sets and the universe are built
+    engine, the proven-redundant prune set and the universe are built
     lazily, on a miss, and then shared by every slice this object
     grades.
     """
@@ -516,9 +491,9 @@ class PreparedGrade:
         return resolve_engine(self.netlist, self.options, self.stimulus)
 
     @cached_property
-    def prune(self) -> tuple[frozenset[int], frozenset[int]]:
-        """``(skip, proven)`` for the options' prune mode."""
-        return prune_sets(
+    def proven(self) -> frozenset[int]:
+        """The options' prune set: classes left out of the denominator."""
+        return prune_set(
             self.netlist, self.fault_list, self.options.prune_mode
         )
 
@@ -547,7 +522,6 @@ class PreparedGrade:
                 self.netlist, self.stimulus,
                 packed=not self.netlist.dffs, store=store,
             )
-        skip, proven = self.prune
         cmap = self.cmap
         if cmap is not None:
             restrict: frozenset[int] | None = None
@@ -559,20 +533,17 @@ class PreparedGrade:
                 units = [s for s in self.universe if s in wanted]
             result = _grade_collapsed(
                 self.engine, self.netlist, self.stimulus, self.fault_list,
-                self.plan, cmap, name=self.name, skip=skip, supers=units,
+                self.plan, cmap, name=self.name, supers=units,
                 restrict=restrict,
             )
         else:
             only = subset if subset is not None else units
             result = self.engine.grade(
                 self.netlist, self.stimulus, self.fault_list, self.plan,
-                name=self.name, skip=skip, only=only,
+                name=self.name, only=only,
             )
-            result.pruned = set(skip)
-            result.n_simulated = len(
-                _graded_reps(self.fault_list, skip, only)
-            )
-        result.proven = set(proven)
+            result.n_simulated = len(_graded_reps(self.fault_list, only))
+        result.proven = set(self.proven)
         return result
 
 
@@ -612,7 +583,7 @@ def grade(
         epoch) fingerprint, the result is replayed from disk with
         ``cache_hit=True`` and zero simulated classes; a hit builds no
         fault list (unless ``faults`` or a map supplied one), collapse
-        map, engine, prune sets or good trace (:class:`PreparedGrade`).
+        map, engine, prune set or good trace (:class:`PreparedGrade`).
         Subset grades are shard-local: they are neither replayed nor
         stored.
     """

@@ -69,14 +69,11 @@ class CampaignResult:
         detected: representative fault indices that were detected.
         detections: per representative index, the Detection record.
         n_patterns: number of patterns / cycles applied.
-        pruned: representatives skipped as structurally untestable (they
-            still count in the FC denominator, as undetected — pruning
-            saves simulation time without touching reported coverage).
         proven: representatives holding a SAT redundancy certificate
             (UNSAT good/faulty miter, :mod:`repro.formal.redundancy`).
             These — and only these — are excluded from the FC
-            denominator.  Always a subset of ``pruned``; empty unless
-            grading ran with ``prune_untestable="proven"``.
+            denominator.  They are still simulated (and never detected);
+            empty unless grading ran with ``prune_untestable="proven"``.
         n_simulated: fault classes the engine actually simulated.  With
             structural collapsing (``grade(collapse=...)``) this is the
             super-class sim-unit count; without it, the graded class
@@ -101,7 +98,6 @@ class CampaignResult:
     detected: set[int] = field(default_factory=set)
     detections: dict[int, Detection] = field(default_factory=dict)
     n_patterns: int = 0
-    pruned: set[int] = field(default_factory=set)
     proven: set[int] = field(default_factory=set)
     n_simulated: int = 0
     n_inferred: int = 0
@@ -154,11 +150,6 @@ class CampaignResult:
         )
 
     @property
-    def n_pruned(self) -> int:
-        """Classes skipped (not simulated) as structurally untestable."""
-        return len(self.pruned)
-
-    @property
     def n_proven(self) -> int:
         """Classes excluded from the denominator with a SAT certificate."""
         return len(self.proven)
@@ -166,15 +157,10 @@ class CampaignResult:
     @property
     def n_excited_unobserved(self) -> int:
         """Undetected faults that were excited but never observed."""
-        return (
-            (self.n_faults - self.n_detected)
-            - self.n_never_excited
-            - self.n_pruned
-        )
+        return self.n_faults - self.n_detected - self.n_never_excited
 
     def excitation_report(self) -> str:
         """One-line FC breakdown used by verbose campaigns and analyses."""
-        pruned = f", {self.n_pruned} pruned-untestable" if self.pruned else ""
         proven = (
             f" ({self.n_proven} proven-redundant, excluded)"
             if self.proven else ""
@@ -183,8 +169,7 @@ class CampaignResult:
             f"{self.name}: FC {self.fault_coverage:.2f}% "
             f"({self.n_detected}/{self.n_effective_faults}); undetected: "
             f"{self.n_never_excited} never excited, "
-            f"{self.n_excited_unobserved} excited-but-unobserved"
-            f"{pruned}{proven}"
+            f"{self.n_excited_unobserved} excited-but-unobserved{proven}"
         )
 
     def to_component_coverage(

@@ -50,21 +50,18 @@ _MIN_LANES, _MAX_LANES = 2, 1024
 def resolve_prune_mode(value: bool | str) -> str:
     """Normalise a ``prune_untestable`` argument to a mode string.
 
-    Returns ``""`` (no pruning), ``"structural"`` (skip the SCOAP-
-    screened classes; they stay in the denominator) or ``"proven"``
-    (additionally SAT-certify the screened classes and exclude the
-    proven-redundant subset from the FC denominator).  ``True`` keeps
-    its historical meaning of ``"structural"``.
+    Returns ``""`` for ``False`` (every class counts) or ``"proven"``
+    (SAT-certify the SCOAP-screened classes and exclude the
+    proven-redundant subset from the FC denominator).  Either way every
+    class is simulated.  Anything else, ``True`` included, is rejected
+    rather than mapped onto a mode that moves the denominator.
     """
-    if value is False or value == "":
+    if value is False:
         return ""
-    if value is True or value == "structural":
-        return "structural"
     if value == "proven":
         return "proven"
     raise FaultSimError(
-        f"unknown prune_untestable mode {value!r} "
-        "(use False, True, 'structural' or 'proven')"
+        f"prune_untestable must be False or 'proven', got {value!r}"
     )
 
 
@@ -80,10 +77,10 @@ class GradeOptions:
             :meth:`~repro.faultsim.observe.ObservePlan.from_spec`
             (``None`` = every output port, every entry).
         name: campaign label (default: the netlist name).
-        prune_untestable: ``False`` simulates everything; ``True`` /
-            ``"structural"`` skips the SCOAP-screened untestable classes
-            (coverage unchanged); ``"proven"`` additionally SAT-certifies
-            them and excludes the proven subset from the denominator.
+        prune_untestable: ``False`` counts every class; ``"proven"``
+            SAT-certifies the SCOAP-screened untestable classes and
+            excludes the proven subset from the FC denominator.  Every
+            class is simulated in both modes.
         subset: restrict grading to these class representatives (one
             shard of the universe); ``None`` grades everything.
         collapse: ``True`` computes the structural collapse map and
@@ -135,7 +132,7 @@ class GradeOptions:
 
     @property
     def prune_mode(self) -> str:
-        """The resolved prune mode: ``""``, ``"structural"``, ``"proven"``."""
+        """The resolved prune mode: ``""`` or ``"proven"``."""
         return resolve_prune_mode(self.prune_untestable)
 
     @property
@@ -164,21 +161,16 @@ class GradeOptions:
         """Digest of the verdict-shaping options, for checkpoint reuse.
 
         Covers exactly the knobs that change *what a journaled verdict
-        means*: the prune mode (``"proven"`` changes the FC denominator,
-        ``"structural"`` the simulated set) and the canonical fault
-        ordering epoch.  Engine choice, lane counts, caching and
-        collapsing are deliberately excluded — verdicts are invariant
-        under all of them (collapse hashes are appended separately where
-        shard bounds index the collapsed universe), so a resumed
-        campaign may switch engines or toggle caching and still reuse
-        its journal.
+        means*: the prune mode (``"proven"`` changes the FC denominator)
+        and the canonical fault ordering epoch.  Engine choice, lane
+        counts, caching and collapsing are deliberately excluded —
+        verdicts are invariant under all of them (collapse hashes are
+        appended separately where shard bounds index the collapsed
+        universe), so a resumed campaign may switch engines or toggle
+        caching and still reuse its journal.
         """
         digest = hashlib.blake2b(digest_size=8)
-        mode = self.prune_mode
-        digest.update(
-            b"prune-proven" if mode == "proven"
-            else b"prune" if mode else b""
-        )
+        digest.update(b"prune-proven" if self.prune_mode else b"")
         # Fault-ordering contract epoch (see faults.py docstring): shard
         # bounds journaled under another ordering must not be reused.
         digest.update(b"order-v2")

@@ -58,11 +58,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection
-from repro.faultsim.engine import (
-    Stimulus,
-    _excited_sequence,
-    _graded_reps,
-)
+from repro.faultsim.engine import Stimulus, _excited_sequence
 from repro.faultsim.faults import FaultKind, FaultList
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_cycles, segment_ends
@@ -208,14 +204,12 @@ class PackedEngine:
         plan: ObservePlan,
         *,
         name: str = "",
-        skip: frozenset[int] = frozenset(),
         only: Sequence[int] | None = None,
     ) -> CampaignResult:
         result = CampaignResult(
-            name or netlist.name, fault_list,
-            n_patterns=len(stimulus), pruned=set(skip),
+            name or netlist.name, fault_list, n_patterns=len(stimulus)
         )
-        reps = self._ordered_reps(fault_list, skip, only)
+        reps = self._ordered_reps(fault_list, only)
         if netlist.dffs:
             self._grade_sequential(
                 netlist, stimulus, fault_list, plan, result, reps
@@ -228,18 +222,16 @@ class PackedEngine:
 
     @staticmethod
     def _ordered_reps(
-        fault_list: FaultList,
-        skip: frozenset[int],
-        only: Sequence[int] | None,
+        fault_list: FaultList, only: Sequence[int] | None
     ) -> list[int]:
         if only is None:
-            return _graded_reps(fault_list, skip)
+            return fault_list.class_representatives()
         # Preserve the caller's order (cone fusion, see module docstring).
         classes = fault_list.classes
         seen: set[int] = set()
         reps = []
         for r in only:
-            if r in classes and r not in skip and r not in seen:
+            if r in classes and r not in seen:
                 seen.add(r)
                 reps.append(r)
         return reps

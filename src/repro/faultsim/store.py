@@ -14,8 +14,8 @@ Two record kinds live under the cache root:
   ``(netlist, stimulus)`` pair, keyed by the PR 3 structural/stimulus
   hashes plus the lane mode and the store epoch;
 * **verdict records** (``verdicts/``) — the full per-class outcome of
-  one component grade (per-class detections as fixed-width columns,
-  prune and proven sets), additionally keyed by the observability
+  one component grade (per-class detections as fixed-width columns and
+  the proven set), additionally keyed by the observability
   signature, the prune mode and the collapse and fault-universe epoch
   tags.
 
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Store format epoch — part of every record key.  Bump on any change to
 #: the record layout or to verdict semantics, so stale caches invalidate
 #: themselves instead of replaying wrong records.
-STORE_EPOCH = "store-v2"
+STORE_EPOCH = "store-v3"
 
 #: Default LRU cap on the summed size of resident records.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -504,7 +504,6 @@ def verdicts_payload(result: "CampaignResult") -> dict:
         "name": result.name,
         "n_classes": result.n_faults,
         "n_patterns": result.n_patterns,
-        "pruned": sorted(result.pruned),
         "proven": sorted(result.proven),
         "n_simulated": result.n_simulated,
         "n_inferred": result.n_inferred,
@@ -596,7 +595,6 @@ def result_from_payload(
         detected={rep for rep, det in detections.items() if det.detected},
         detections=detections,
         n_patterns=_int(payload, "n_patterns"),
-        pruned=_int_set(payload, "pruned"),
         proven=_int_set(payload, "proven"),
         n_classes=n_classes,
     )

@@ -133,11 +133,24 @@ def build_component(name: str) -> Netlist:
 
 
 @cache
+def component_netlist(info: ComponentInfo) -> Netlist:
+    """``info``'s netlist, built once per process and shared read-only.
+
+    The test-development order's area figures, the campaign planner and
+    forked pool workers all read this one build, so a campaign builds
+    each component once.  Nothing downstream mutates a netlist (grading,
+    collapsing and :func:`~repro.netlist.remap.remap_to_nand` only read
+    it); callers that want to edit one use :func:`build_component`.
+    """
+    return info.builder()
+
+
+@cache
 def component_stats(info: ComponentInfo) -> NetlistStats:
     """Gate statistics of ``info``'s netlist as built (Table 3 area),
     measured once per process: the test-development order and every
     campaign read them, and the netlist is deterministic."""
-    return gate_count(info.builder())
+    return gate_count(component_netlist(info))
 
 
 def component_table() -> list[dict]:

@@ -84,7 +84,7 @@ class CampaignRequest:
         engine: fault-sim engine name or ``"auto"``.
         lanes: packed-engine lane groups per word.
         collapse: grade through the structural collapse map.
-        prune_untestable: ``False`` / ``"structural"`` / ``"proven"``.
+        prune_untestable: ``False`` or ``"proven"``.
         jobs: per-campaign shard workers (1 = in-process grading).
         tenant: quota accounting identity.
         priority: queue priority; *lower runs earlier*, default 0.
@@ -210,10 +210,9 @@ def parse_campaign_request(
     lanes = check.get("lanes", int, DEFAULT_LANES, kinds_label="an integer")
     collapse = check.get("collapse", bool, True, kinds_label="a boolean")
     prune = body.get("prune_untestable", False)
-    if not (isinstance(prune, bool) or prune in ("structural", "proven")):
+    if prune is not False and prune != "proven":
         check.problem(
-            "prune_untestable",
-            f"expected false, true, 'structural' or 'proven', got {prune!r}",
+            "prune_untestable", f"expected false or 'proven', got {prune!r}"
         )
         prune = False
 

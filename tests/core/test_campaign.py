@@ -7,10 +7,19 @@ bookkeeping around it.
 
 import pytest
 
+import repro.core.sharded as sharded_mod
 from repro.core.campaign import execute_self_test, run_campaign
 from repro.core.methodology import SelfTestMethodology
+from repro.core.sharded import ShardVerdict
 from repro.faultsim.options import GradeOptions
+from repro.netlist.builder import NetlistBuilder
 from repro.netlist.remap import remap_to_nand
+from repro.plasma.components import (
+    COMPONENTS,
+    component,
+    component_netlist,
+    component_stats,
+)
 
 FAST = ["ALU", "BSH", "CTRL", "BMUX"]
 
@@ -126,3 +135,37 @@ class TestCollapsedCampaign:
             assert (
                 got.n_simulated + got.n_inferred <= want.n_simulated
             )
+
+
+def _ungraded_shard(name, lo, hi):
+    """A shard stub: the planner's builds are under test, not grading."""
+    return ShardVerdict(name, lo, hi, n_classes=-1, n_patterns=0, detected=())
+
+
+class TestNetlistBuilds:
+    def test_one_campaign_builds_each_component_once(self, monkeypatch):
+        # The test-development order's area figures and the planner's
+        # verdict keys read one shared build per component.
+        builds = []
+        real_build = NetlistBuilder.build
+
+        def counting(self):
+            builds.append(self.netlist.name)
+            return real_build(self)
+
+        monkeypatch.setattr(NetlistBuilder, "build", counting)
+        monkeypatch.setattr(sharded_mod, "grade_shard", _ungraded_shard)
+        component_netlist.cache_clear()
+        component_stats.cache_clear()
+        run_campaign("A")
+        assert sorted(builds) == sorted(c.name for c in COMPONENTS)
+
+    def test_remap_leaves_the_shared_netlist_alone(self):
+        netlist = component_netlist(component("ALU"))
+        gates, dffs = list(netlist.gates), list(netlist.dffs)
+        ports, names = dict(netlist.ports), dict(netlist.net_names)
+        n_nets = netlist.n_nets
+        run_campaign("A", components=["ALU"], netlist_transform=remap_to_nand)
+        assert netlist.gates == gates and netlist.dffs == dffs
+        assert netlist.ports == ports and netlist.net_names == names
+        assert netlist.n_nets == n_nets

@@ -129,13 +129,13 @@ class TestCollapseOnEqualsOff:
         netlist = random_comb(seed, n_gates=30)
         stimulus = _patterns(random.Random(seed), 10)
         baseline = grade(netlist, stimulus,
-                         options=GradeOptions(prune_untestable=True))
+                         options=GradeOptions(prune_untestable="proven"))
         collapsed = grade(
             netlist, stimulus,
-            options=GradeOptions(prune_untestable=True, collapse=True),
+            options=GradeOptions(prune_untestable="proven", collapse=True),
         )
         assert collapsed.detected == baseline.detected
-        assert collapsed.pruned == baseline.pruned
+        assert collapsed.proven == baseline.proven
         assert collapsed.fault_coverage == baseline.fault_coverage
 
 

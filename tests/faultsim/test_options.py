@@ -41,9 +41,13 @@ class TestValidation:
         with pytest.raises(FaultSimError, match="unknown engine"):
             GradeOptions(engine="flextest")
 
-    @pytest.mark.parametrize("bad", ("maybe", "PROVEN", 2, None))
+    @pytest.mark.parametrize(
+        "bad", ("maybe", "PROVEN", 2, None, True, "structural")
+    )
     def test_bad_prune_mode_rejected(self, bad):
-        with pytest.raises(FaultSimError):
+        # True and "structural" named the removed skip mode; neither is
+        # reinterpreted as "proven", which would move the denominators.
+        with pytest.raises(FaultSimError, match="prune_untestable"):
             GradeOptions(prune_untestable=bad)
 
     @pytest.mark.parametrize("bad", (0, 1, 1025, -64, True, "64", 3.0))
@@ -76,13 +80,12 @@ class TestFingerprint:
         assert GradeOptions(cache=tmp_path).fingerprint() == base
 
     def test_prune_modes_partition_the_journal(self):
-        plain = GradeOptions().fingerprint()
-        structural = GradeOptions(prune_untestable=True).fingerprint()
-        proven = GradeOptions(prune_untestable="proven").fingerprint()
-        assert len({plain, structural, proven}) == 3
+        # Pinned digests: journals written before the structural skip
+        # mode was removed must still resume under both modes.
+        assert GradeOptions().fingerprint() == "f3bd74a1ea284a1b"
         assert (
-            GradeOptions(prune_untestable="structural").fingerprint()
-            == structural
+            GradeOptions(prune_untestable="proven").fingerprint()
+            == "cd6147165fd8e922"
         )
 
 

@@ -1,21 +1,21 @@
-"""The ``"proven"`` pruning mode: SAT-certified denominator exclusions.
+"""The ``"proven"`` prune mode: SAT-certified denominator exclusions.
 
-``prune_untestable`` accepts three settings with distinct contracts:
+``prune_untestable`` accepts exactly two settings:
 
-* ``False`` — grade everything;
-* ``True`` / ``"structural"`` — skip SCOAP-screened faults but keep
-  them in the denominator (coverage-neutral, the historical behavior,
-  pinned by :mod:`tests.faultsim.test_pruning`);
-* ``"proven"`` — additionally SAT-certify each screened class and
-  exclude *only the certified ones* from the fault-coverage
-  denominator.
+* ``False`` — every collapsed class counts in the denominator;
+* ``"proven"`` — SAT-certify each SCOAP-screened class and exclude *only
+  the certified ones* from the fault-coverage denominator.
 
-These tests pin the mode plumbing, the invariant ``proven <= pruned``,
-the denominator arithmetic, and the checkpoint/shard round-trips.
+Both simulate every class: ``"proven"`` is a reporting choice, so the
+screened classes still get a (never detected) verdict and the detected
+set equals the ``False`` grade's.  These tests pin the mode plumbing,
+that contract on a tied circuit and on CTRL with its phase-A stimulus,
+and the checkpoint/shard round-trips.
 """
 
 import pytest
 
+from repro.analysis.scoap import untestable_fault_classes
 from repro.core.sharded import (
     ShardVerdict,
     merge_shard_results,
@@ -25,25 +25,53 @@ from repro.core.sharded import (
 from repro.faultsim.engine import (
     FaultSimError,
     grade,
-    prune_sets,
+    prune_set,
     resolve_prune_mode,
 )
 from repro.faultsim.options import GradeOptions
 from repro.faultsim.faults import build_fault_list
+from repro.netlist.builder import NetlistBuilder
+from repro.netlist.gates import GateType
+from repro.netlist.netlist import CONST0
 from repro.plasma.components import build_component, component
-from tests.faultsim.test_pruning import PATTERNS, tied_circuit
+
+
+def tied_circuit():
+    # OR(a, AND(a, 0)): the AND is structurally constant 0, so several
+    # collapsed classes are untestable by construction.
+    b = NetlistBuilder("tied")
+    a = b.input("a", 1)
+    dead = b.netlist.add_gate(GateType.AND, [a[0], CONST0])
+    b.output("y", b.gate(GateType.OR, a[0], dead))
+    return b.build()
+
+
+PATTERNS = [dict(a=0), dict(a=1)]
+
+
+@pytest.fixture(scope="module")
+def ctrl_phase_a():
+    """CTRL's netlist with its traced phase-A ``(stimulus, observe)``."""
+    from repro.core.campaign import execute_self_test
+    from repro.core.methodology import SelfTestMethodology
+
+    _, tracer, _ = execute_self_test(
+        SelfTestMethodology().build_program("A")
+    )
+    stimulus, observe = tracer.finalize()["CTRL"]
+    return build_component("CTRL"), stimulus, observe
 
 
 class TestModeResolution:
     def test_canonical_spellings(self):
         assert resolve_prune_mode(False) == ""
-        assert resolve_prune_mode(True) == "structural"
-        assert resolve_prune_mode("structural") == "structural"
         assert resolve_prune_mode("proven") == "proven"
 
-    @pytest.mark.parametrize("bad", ("yes", "sat", "PROVEN", 2, None))
+    @pytest.mark.parametrize(
+        "bad", ("yes", "sat", "PROVEN", 2, None, True, "structural", "")
+    )
     def test_invalid_modes_raise(self, bad):
-        with pytest.raises(FaultSimError):
+        with pytest.raises(FaultSimError, match="prune_untestable"):
             resolve_prune_mode(bad)
 
     def test_grade_rejects_invalid_mode(self):
@@ -57,33 +85,48 @@ class TestProvenMode:
     @pytest.mark.parametrize(
         "fixture", ("tied", "CTRL"), ids=("tied-circuit", "CTRL")
     )
-    def test_proven_only_shrinks_the_denominator(self, fixture):
+    def test_proven_only_shrinks_the_denominator(self, fixture, request):
         if fixture == "tied":
-            netlist, stimulus = tied_circuit(), PATTERNS
+            netlist, stimulus, observe = tied_circuit(), PATTERNS, None
         else:
-            netlist = build_component("CTRL")
-            stimulus = [
-                {p.name: 0 for p in netlist.input_ports()},
-                {p.name: (1 << p.width) - 1 for p in netlist.input_ports()},
-            ]
-        base = grade(netlist, stimulus)
-        structural = grade(netlist, stimulus,
-                           options=GradeOptions(prune_untestable=True))
-        proven = grade(netlist, stimulus,
-                       options=GradeOptions(prune_untestable="proven"))
+            netlist, stimulus, observe = request.getfixturevalue(
+                "ctrl_phase_a"
+            )
+        base = grade(netlist, stimulus, options=GradeOptions(observe=observe))
+        proven = grade(netlist, stimulus, options=GradeOptions(
+            observe=observe, prune_untestable="proven",
+        ))
+        screen = untestable_fault_classes(build_fault_list(netlist))
 
-        assert base.proven == set() and structural.proven == set()
-        assert proven.proven
-        assert proven.proven <= proven.pruned
-        assert proven.pruned == structural.pruned
-        # Detection verdicts never depend on the pruning mode.
-        assert proven.detected == structural.detected == base.detected
+        assert base.proven == set()
+        assert screen and proven.proven
+        assert proven.proven <= screen
+        # Every class is simulated: a screened class holds an undetected
+        # verdict, and the grade covers exactly the classes the plain
+        # grade covers.
+        for rep in screen:
+            assert proven.detections[rep].detected is False
+        assert proven.detections.keys() == base.detections.keys()
+        assert proven.n_simulated == base.n_simulated
+        # Detection verdicts never depend on the prune mode.
+        assert proven.detected == base.detected
         # The only coverage effect is the denominator exclusion.
-        assert proven.n_effective_faults == base.n_faults - len(
-            proven.proven
+        assert proven.n_effective_faults == (
+            proven.n_faults - len(proven.proven)
         )
-        assert structural.fault_coverage == base.fault_coverage
+        assert proven.n_faults == base.n_faults
         assert proven.fault_coverage >= base.fault_coverage
+
+    def test_excitation_report_names_the_proven_classes(self):
+        result = grade(tied_circuit(), PATTERNS,
+                       options=GradeOptions(prune_untestable="proven"))
+        report = result.excitation_report()
+        assert f"{result.n_proven} proven-redundant, excluded" in report
+        # Screened classes are simulated, so the undetected breakdown
+        # accounts for every undetected class.
+        assert result.n_never_excited + result.n_excited_unobserved == (
+            result.n_faults - result.n_detected
+        )
 
     def test_proven_faults_are_not_detected(self):
         netlist = build_component("PCL")
@@ -96,13 +139,9 @@ class TestProvenMode:
     def test_prune_sets_modes(self):
         netlist = tied_circuit()
         fault_list = build_fault_list(netlist)
-        skip_off, proven_off = prune_sets(netlist, fault_list, "")
-        assert skip_off == frozenset() and proven_off == frozenset()
-        skip_s, proven_s = prune_sets(netlist, fault_list, "structural")
-        assert skip_s and proven_s == frozenset()
-        skip_p, proven_p = prune_sets(netlist, fault_list, "proven")
-        assert skip_p == skip_s
-        assert proven_p and proven_p <= skip_p
+        assert prune_set(netlist, fault_list, "") == frozenset()
+        proven = prune_set(netlist, fault_list, "proven")
+        assert proven and proven <= untestable_fault_classes(fault_list)
 
 
 def _one_shard_record(result):
@@ -112,7 +151,6 @@ def _one_shard_record(result):
         component=result.name, lo=0, hi=n, n_classes=n,
         n_patterns=result.n_patterns,
         detected=tuple(sorted(result.detected)),
-        pruned=tuple(sorted(result.pruned)),
         proven=tuple(sorted(result.proven)),
         n_simulated=result.n_simulated,
     ))
@@ -167,7 +205,7 @@ class TestShardRoundTrip:
     def _verdict(self):
         return ShardVerdict(
             component="PCL", lo=0, hi=5, n_classes=40, n_patterns=3,
-            detected=(1, 3), pruned=(2, 4), proven=(2,),
+            detected=(1, 3), proven=(2,),
         )
 
     def test_shard_record_round_trips_proven(self):
@@ -177,21 +215,29 @@ class TestShardRoundTrip:
         restored = record_to_verdict(record)
         assert restored.proven == (2,)
         assert restored.detected == verdict.detected
-        assert restored.pruned == verdict.pruned
 
     def test_legacy_shard_records_default_to_no_proven(self):
         record = shard_record(self._verdict())
         del record["proven"]
         assert record_to_verdict(record).proven == ()
 
+    def test_legacy_shard_records_with_a_pruned_field_still_load(self):
+        # Journals written while a structural skip mode existed carry a
+        # "pruned" list; resume ignores it.
+        record = shard_record(self._verdict())
+        assert "pruned" not in record
+        record["pruned"] = [2, 4]
+        restored = record_to_verdict(record)
+        assert restored.detected == (1, 3)
+        assert restored.proven == (2,)
+
     def test_merge_unions_proven_across_shards(self):
         netlist = build_component("PCL")
         fault_list = build_fault_list(netlist)
         n = fault_list.n_collapsed
-        a = ShardVerdict("PCL", 0, n // 2, n, 2, (0,), (1,), (1,))
-        b = ShardVerdict("PCL", n // 2, n, n, 2, (5,), (6, 7), (7,))
+        a = ShardVerdict("PCL", 0, n // 2, n, 2, (0,), (1,))
+        b = ShardVerdict("PCL", n // 2, n, n, 2, (5,), (7,))
         merged = merge_shard_results("PCL", fault_list, 2, (a, b))
         assert merged.proven == {1, 7}
-        assert merged.pruned == {1, 6, 7}
         assert merged.detected == {0, 5}
         assert merged.n_effective_faults == n - 2

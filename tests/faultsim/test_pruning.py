@@ -1,11 +1,14 @@
-"""SCOAP-based structural fault pruning inside the grading facade.
+"""SCOAP-screened pruning inside the grading facade: nothing is skipped.
 
-``prune_untestable=True`` must only skip faults that are provably
-untestable: the reported fault coverage may never change, only the
-amount of simulation spent proving the same undetected set.
+``prune_untestable="proven"`` may only move SAT-certified untestable
+classes out of the fault-coverage denominator.  Every class is still
+simulated, so the detected set, the numerator and the class count never
+change; the certified classes stay in the undetected set.
 """
 
+from repro.analysis.scoap import untestable_fault_classes
 from repro.faultsim import GradeOptions, grade
+from repro.faultsim.faults import build_fault_list
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import CONST0
@@ -23,42 +26,39 @@ def tied_circuit():
 
 
 PATTERNS = [dict(a=0), dict(a=1)]
+PROVEN = GradeOptions(prune_untestable="proven")
 
 
 class TestPruningSmallCircuit:
     def test_prune_skips_untestable_without_changing_coverage(self):
+        # No class is skipped: the proven grade simulates what the plain
+        # grade simulates and detects exactly the same classes, so only
+        # the denominator moves.
         netlist = tied_circuit()
         base = grade(netlist, PATTERNS)
-        pruned = grade(
-            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
-        )
-        assert base.n_pruned == 0
-        assert pruned.n_pruned > 0
-        assert pruned.fault_coverage == base.fault_coverage
+        pruned = grade(netlist, PATTERNS, options=PROVEN)
+        assert base.n_proven == 0
+        assert pruned.n_proven > 0
         assert pruned.n_faults == base.n_faults
+        assert pruned.n_simulated == base.n_simulated
+        assert pruned.detections.keys() == base.detections.keys()
         assert pruned.detected == base.detected
+        assert pruned.n_effective_faults == base.n_faults - pruned.n_proven
 
     def test_pruned_faults_stay_in_the_undetected_set(self):
         netlist = tied_circuit()
-        result = grade(
-            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
-        )
-        assert result.pruned
-        assert not result.pruned & result.detected
+        result = grade(netlist, PATTERNS, options=PROVEN)
+        assert result.proven
+        assert not result.proven & result.detected
         undetected = {
             result.fault_list.representative[
                 result.fault_list.faults.index(f)
             ]
             for f in result.undetected_faults()
         }
-        assert result.pruned <= undetected
-
-    def test_excitation_report_mentions_pruning(self):
-        netlist = tied_circuit()
-        result = grade(
-            netlist, PATTERNS, options=GradeOptions(prune_untestable=True)
-        )
-        assert "pruned-untestable" in result.excitation_report()
+        assert result.proven <= undetected
+        for rep in result.proven:
+            assert result.detections[rep].detected is False
 
 
 class TestPruningOnComponent:
@@ -72,9 +72,10 @@ class TestPruningOnComponent:
             {"instr": 0x01095021},  # addu $t2, $t0, $t1
         ]
         base = grade(netlist, patterns)
-        pruned = grade(
-            netlist, patterns, options=GradeOptions(prune_untestable=True)
-        )
-        assert pruned.n_pruned > 0
-        assert pruned.fault_coverage == base.fault_coverage
+        pruned = grade(netlist, patterns, options=PROVEN)
+        screen = untestable_fault_classes(build_fault_list(netlist))
+        assert pruned.n_proven > 0
+        assert pruned.proven <= screen
         assert pruned.detected == base.detected
+        assert pruned.n_simulated == base.n_simulated
+        assert pruned.fault_coverage >= base.fault_coverage

@@ -172,18 +172,18 @@ class TestShardMergeProperty:
         fault_list = build_fault_list(netlist)
         full = grade(
             netlist, stimulus, fault_list,
-            GradeOptions(prune_untestable=True),
+            GradeOptions(prune_untestable="proven"),
         )
         reps = list(fault_list.class_representatives())
         half = len(reps) // 2
         merged = set()
-        pruned = set()
+        proven = set()
         for shard in (reps[:half], reps[half:]):
             part = grade(
                 netlist, stimulus, fault_list,
-                GradeOptions(subset=shard, prune_untestable=True),
+                GradeOptions(subset=shard, prune_untestable="proven"),
             )
             merged |= part.detected
-            pruned |= part.pruned
+            proven |= part.proven
         assert merged == full.detected
-        assert pruned == full.pruned
+        assert proven == full.proven

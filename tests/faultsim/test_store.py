@@ -56,7 +56,6 @@ def _record_paths(store):
 
 def _assert_same_verdicts(a, b):
     assert b.detected == a.detected
-    assert b.pruned == a.pruned
     assert b.proven == a.proven
     assert b.fault_coverage == a.fault_coverage
     assert set(b.detections) == set(a.detections)
@@ -333,7 +332,7 @@ def _count_analysis(monkeypatch):
     monkeypatch.setattr(
         FaultList, "__init__", counting("FaultList", FaultList.__init__)
     )
-    for name in ("resolve_engine", "prune_sets", "good_trace_for"):
+    for name in ("resolve_engine", "prune_set", "good_trace_for"):
         monkeypatch.setattr(
             engine_mod, name, counting(name, getattr(engine_mod, name))
         )
@@ -455,12 +454,11 @@ class TestVerdictMissLoadsTraceFromStore:
                      options=GradeOptions(cache=store))
         assert store.stats.trace_hits == 0
         global_trace_cache().clear()
-        pruned = grade(build_alu(width=4), _alu_patterns(),
-                       options=GradeOptions(cache=store,
-                                            prune_untestable=True))
-        assert not pruned.cache_hit
+        collapsed = grade(build_alu(width=4), _alu_patterns(),
+                          options=GradeOptions(cache=store, collapse=True))
+        assert not collapsed.cache_hit
         assert store.stats.trace_hits >= 1
-        assert pruned.detected == cold.detected
+        assert collapsed.detected == cold.detected
 
     def test_in_process_campaign(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -468,12 +466,12 @@ class TestVerdictMissLoadsTraceFromStore:
                             options=GradeOptions(cache=store))
         assert store.stats.trace_hits == 0
         global_trace_cache().clear()
-        pruned = run_campaign("A", components=["CTRL"], options=GradeOptions(
-            cache=store, prune_untestable=True,
-        ))
-        assert pruned.cached_components == []
+        collapsed = run_campaign("A", components=["CTRL"],
+                                 options=GradeOptions(cache=store,
+                                                      collapse=True))
+        assert collapsed.cached_components == []
         assert store.stats.trace_hits >= 1
-        assert pruned.table5() == cold.table5()
+        assert collapsed.table5() == cold.table5()
 
     def test_pooled_campaign(self, tmp_path, monkeypatch):
         from repro.runtime import RuntimeConfig
@@ -490,10 +488,10 @@ class TestVerdictMissLoadsTraceFromStore:
         monkeypatch.setattr(
             sharded_mod, "grade_shard", _shard_reporting_trace_hits
         )
-        pruned = run_campaign("A", components=["CTRL"], runtime=runtime,
-                              options=GradeOptions(cache=TraceStore(root),
-                                                   prune_untestable=True))
-        assert pruned.cached_components == []
+        collapsed = run_campaign("A", components=["CTRL"], runtime=runtime,
+                                 options=GradeOptions(cache=TraceStore(root),
+                                                      collapse=True))
+        assert collapsed.cached_components == []
         hits = (tmp_path / "trace-hits").read_text().split()
         assert hits and max(int(h) for h in hits) >= 1
-        assert pruned.table5() == cold.table5()
+        assert collapsed.table5() == cold.table5()

@@ -31,7 +31,10 @@ from repro.faultsim.store import (
     verdicts_payload,
 )
 from repro.faultsim.trace_cache import global_trace_cache
+from repro.analysis.scoap import untestable_fault_classes
 from repro.library import build_alu
+from repro.plasma.components import build_component
+from tests.faultsim.test_proven import PATTERNS, tied_circuit
 
 #: Wider than any phase-A lane word: a combinational component's word has
 #: one bit per pattern, 2,646 for BMUX and CTRL.
@@ -56,7 +59,7 @@ def _results(draw):
     """A random graded result: any universe size, including empty; any
     subset of classes with detections, in any order; lane words up to
     4,096 bits; undetected and detected classes with or without a
-    cycle; pruned and proven sets."""
+    cycle; a proven set."""
     n_classes = draw(st.integers(0, 60))
     reps = draw(st.permutations(range(n_classes)))
     graded = reps[: draw(st.integers(0, n_classes))]
@@ -69,16 +72,14 @@ def _results(draw):
             draw(st.integers(0, 2**_MAX_LANE_BITS - 1)),
             excited=draw(st.booleans()),
         )
-    pruned = set(reps[len(graded):])
-    proven = set(draw(st.lists(st.sampled_from(sorted(pruned)), unique=True))
-                 if pruned else [])
+    proven = set(draw(st.lists(st.sampled_from(reps), unique=True))
+                 if reps else [])
     result = CampaignResult(
         draw(st.text(max_size=8)),
         _never_called,
         detected={r for r, d in detections.items() if d.detected},
         detections=detections,
         n_patterns=draw(st.integers(0, 10_000)),
-        pruned=pruned,
         proven=proven,
         n_classes=n_classes,
     )
@@ -95,7 +96,6 @@ class TestRoundTrip:
         assert restored.detections == result.detections
         assert list(restored.detections) == list(result.detections)
         assert restored.detected == result.detected
-        assert restored.pruned == result.pruned
         assert restored.proven == result.proven
         assert restored.n_faults == result.n_faults
         assert restored.n_patterns == result.n_patterns
@@ -229,7 +229,7 @@ class TestDamagedRecords:
 
 class TestEpochs:
     def test_tags_are_pinned(self):
-        assert STORE_EPOCH == "store-v2"
+        assert STORE_EPOCH == "store-v3"
         assert FAULT_EPOCH == "faults-v1"
         assert COLLAPSE_EPOCH == "collapse-v1"
 
@@ -258,3 +258,74 @@ class TestEpochs:
         assert store.stats.verdict_misses == 1 and store.stats.corrupt == 0
         assert store._path("verdicts", v1_key).is_file()
         assert store.record_count() == (1, 2)
+
+    def test_a_store_v2_proven_record_is_never_replayed(self, tmp_path):
+        # A store-v2 "proven" grade skipped the SCOAP-screened classes,
+        # so its record holds no verdict for them; the current key must
+        # not reach it.
+        netlist = tied_circuit()
+        proven = grade(
+            netlist, PATTERNS, options=GradeOptions(prune_untestable="proven")
+        )
+        screened = untestable_fault_classes(proven.fault_list)
+        assert screened and screened <= set(proven.detections)
+        v2 = CampaignResult(
+            proven.name, proven.fault_list, detected=set(proven.detected),
+            detections={
+                rep: det for rep, det in proven.detections.items()
+                if rep not in screened
+            },
+            n_patterns=proven.n_patterns, proven=set(proven.proven),
+        )
+        payload = verdicts_payload(v2)
+        payload["pruned"] = sorted(screened)
+        structural, stim_hash, n_entries, _ = global_trace_cache().key_for(
+            netlist, PATTERNS, "packed"
+        )
+        plan = ObservePlan.from_spec(None, len(PATTERNS), netlist)
+        v2_key = store_mod._digest(
+            "verdicts", "store-v2", structural, stim_hash, str(n_entries),
+            plan.signature(), "proven", "", FAULT_EPOCH,
+        )
+        store = TraceStore(tmp_path)
+        store.save_verdicts(v2_key, payload)
+        current_key = store_mod.verdict_key_for(
+            store, netlist, PATTERNS, plan,
+            prune_mode="proven", collapse_epoch="",
+        )
+        assert current_key != v2_key
+
+        result = grade(netlist, PATTERNS, options=GradeOptions(
+            cache=store, prune_untestable="proven",
+        ))
+        assert not result.cache_hit
+        assert store.stats.verdict_misses == 1 and store.stats.corrupt == 0
+        assert store._path("verdicts", v2_key).is_file()
+        assert result.detections == proven.detections
+
+    @pytest.mark.parametrize("name", ("tied", "PCL"))
+    def test_warm_proven_replay_equals_cold(self, tmp_path, name):
+        if name == "tied":
+            netlist, stimulus = tied_circuit(), PATTERNS
+        else:
+            netlist = build_component("PCL")
+            stimulus = [{p.name: 0 for p in netlist.input_ports()}] * 3
+        opts = GradeOptions(cache=TraceStore(tmp_path),
+                            prune_untestable="proven")
+        cold = grade(netlist, stimulus, options=opts)
+        warm = grade(netlist, stimulus, options=opts)
+        assert not cold.cache_hit and warm.cache_hit
+        assert cold.proven and warm.proven == cold.proven
+        assert warm.detected == cold.detected
+        assert list(warm.detections) == list(cold.detections)
+        for rep, want in cold.detections.items():
+            got = warm.detections[rep]
+            assert (got.detected, got.cycle, got.lanes, got.excited) == (
+                want.detected, want.cycle, want.lanes, want.excited
+            ), rep
+        assert warm.n_faults == cold.n_faults
+        assert warm.n_patterns == cold.n_patterns
+        assert warm.n_effective_faults == cold.n_effective_faults
+        assert warm.fault_coverage == cold.fault_coverage
+        assert warm.n_never_excited == cold.n_never_excited
+        assert warm.excitation_report() == cold.excitation_report()

@@ -211,7 +211,7 @@ class TestCollapsedShards:
         def verdict(lo, hi, chash):
             return ShardVerdict(
                 component="GL", lo=lo, hi=hi, n_classes=n, n_patterns=1,
-                detected=(), pruned=(), collapse_hash=chash,
+                detected=(), collapse_hash=chash,
             )
 
         with pytest.raises(CheckpointCorrupt, match="collapse maps"):

@@ -100,7 +100,7 @@ class TestPathEquivalence:
         for name in FAST:
             got, want = outcome.results[name], reference[name]
             assert got.detected == want.detected
-            assert got.pruned == want.pruned
+            assert got.proven == want.proven
             assert got.n_patterns == want.n_patterns
             # Per-fault verdicts, not just the aggregate sets.
             assert got.detections == want.detections

@@ -47,7 +47,7 @@ class TestAcceptedForms:
         assert request.components == ("PLN", "GL")
 
     def test_prune_untestable_string_modes(self):
-        for mode in (False, True, "structural", "proven"):
+        for mode in (False, "proven"):
             request = parse_campaign_request({"prune_untestable": mode})
             assert request.prune_untestable == mode
 
@@ -114,7 +114,15 @@ class TestFieldDiagnostics:
 
     def test_bad_prune_mode(self):
         issues = issues_of({"prune_untestable": "aggressive"})
-        assert "'structural' or 'proven'" in issues["prune_untestable"]
+        assert "false or 'proven'" in issues["prune_untestable"]
+
+    @pytest.mark.parametrize("mode", (True, "structural"))
+    def test_removed_skip_mode_rejected(self, mode):
+        # Not reinterpreted as "proven": that would move the caller's
+        # FC denominators without a word.
+        issues = issues_of({"prune_untestable": mode})
+        assert set(issues) == {"prune_untestable"}
+        assert repr(mode) in issues["prune_untestable"]
 
     def test_engine_validated_by_grade_options(self):
         # Engine names are GradeOptions' rule, surfaced as $options.
@@ -144,13 +152,13 @@ class TestToOptions:
     def test_verdict_knobs_lowered(self):
         request = parse_campaign_request({
             "engine": "packed", "lanes": 2, "collapse": False,
-            "prune_untestable": "structural",
+            "prune_untestable": "proven",
         })
         options = request.to_options()
         assert options.engine == "packed"
         assert options.lanes == 2
         assert options.collapse is False
-        assert options.prune_untestable == "structural"
+        assert options.prune_untestable == "proven"
 
     def test_fingerprint_ignores_service_local_fields(self):
         # tenant/priority/jobs must not change the idempotency inputs.

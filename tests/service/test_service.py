@@ -275,6 +275,16 @@ class TestFailurePaths:
             (issue,) = payload["issues"]
             assert issue == {"field": "reach", "message": "unknown field"}
 
+    def test_removed_prune_modes_are_400(self):
+        with running_server(workers=0) as port:
+            for mode in (True, "structural"):
+                status, _, payload = request(
+                    port, "POST", "/v1/campaigns", {"prune_untestable": mode},
+                )
+                assert status == 400
+                (issue,) = payload["issues"]
+                assert issue["field"] == "prune_untestable"
+
     def test_unknown_campaign_is_404(self):
         with running_server(workers=0) as port:
             for path in ("/v1/campaigns/nope", "/v1/campaigns/nope/events"):

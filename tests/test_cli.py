@@ -14,6 +14,9 @@ from repro.cli import (
     EXIT_WATCHDOG,
     main,
 )
+from repro.faultsim.engine import prune_set
+from repro.faultsim.faults import build_fault_list
+from repro.plasma.components import component
 
 SAMPLE = """
 .text
@@ -177,7 +180,11 @@ class TestCampaign:
         assert main(["campaign", "--phases", "A", "--components", "CTRL",
                      "--prune-untestable"]) == 0
         pruned = capsys.readouterr().out
-        assert "pruned" in pruned
+        netlist = component("CTRL").builder()
+        n_proven = len(prune_set(netlist, build_fault_list(netlist), "proven"))
+        assert n_proven > 0
+        assert f", {n_proven} proven-redundant" in pruned
+        assert "proven-redundant" not in base
         assert ctrl_fc(pruned) >= ctrl_fc(base)
 
     def test_resume_requires_checkpoint(self, capsys):
