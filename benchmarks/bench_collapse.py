@@ -33,7 +33,7 @@ import sys
 import time
 
 from repro.analysis.collapse import compute_collapse
-from repro.core.campaign import execute_self_test
+from repro.core.campaign import trace_program
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.plasma.components import build_component
@@ -53,9 +53,7 @@ FULL_COMPONENTS = (
 
 
 def traced_specs():
-    self_test = SelfTestMethodology().build_program("A")
-    _, tracer, _ = execute_self_test(self_test)
-    return tracer.finalize()
+    return trace_program(SelfTestMethodology().build_program("A"))[1]
 
 
 def _verdicts(result):

@@ -33,7 +33,7 @@ import argparse
 import sys
 import time
 
-from repro.core.campaign import execute_self_test
+from repro.core.campaign import trace_program
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import GradeOptions, build_fault_list
 from repro.faultsim.engine import grade
@@ -50,9 +50,7 @@ FULL_SPEEDUP_FLOOR = 3.0
 
 
 def traced_specs():
-    self_test = SelfTestMethodology().build_program("A")
-    _, tracer, _ = execute_self_test(self_test)
-    return tracer.finalize()
+    return trace_program(SelfTestMethodology().build_program("A"))[1]
 
 
 def _verdicts(result):

@@ -40,9 +40,9 @@ import tempfile
 import time
 
 from repro.core.campaign import (
-    execute_self_test,
     grade_component,
     run_campaign,
+    trace_program,
 )
 from repro.faultsim import GradeOptions, TraceStore, build_fault_list, grade
 from repro.core.methodology import SelfTestMethodology
@@ -69,9 +69,7 @@ STORE_COMPONENTS = ("CTRL", "BSH")
 
 
 def traced_specs():
-    self_test = SelfTestMethodology().build_program("A")
-    _, tracer, _ = execute_self_test(self_test)
-    return tracer.finalize()
+    return trace_program(SelfTestMethodology().build_program("A"))[1]
 
 
 def _verdicts(result):

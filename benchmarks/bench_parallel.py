@@ -37,7 +37,7 @@ import os
 import sys
 import time
 
-from repro.core.campaign import execute_self_test, grade_traced
+from repro.core.campaign import grade_traced, trace_program
 from repro.core.methodology import SelfTestMethodology
 from repro.reporting.tables import render_table5
 from repro.runtime import RuntimeConfig
@@ -82,8 +82,7 @@ def run_bench(quick: bool) -> tuple[str, dict, list[str]]:
         ``(report text, JSON-safe payload, failure messages)``.
     """
     self_test = SelfTestMethodology().build_program("A")
-    cpu_result, tracer, _ = execute_self_test(self_test)
-    specs = tracer.finalize()
+    cpu_result, specs = trace_program(self_test)
     components = list(GATE_COMPONENTS)
 
     cores = usable_cores()

@@ -37,7 +37,7 @@ import time
 from repro.analysis.absint import interpret_program
 from repro.analysis.collapse import compute_collapse
 from repro.analysis.reach import build_reach_report, derive_patterns
-from repro.core.campaign import execute_self_test
+from repro.core.campaign import trace_program
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.plasma.components import build_component
@@ -61,8 +61,7 @@ FULL_COMPONENTS = (
 
 def traced_program_and_specs():
     self_test = SelfTestMethodology().build_program("A")
-    _, tracer, _ = execute_self_test(self_test)
-    return self_test.program, tracer.finalize()
+    return self_test.program, trace_program(self_test)[1]
 
 
 def _bench_component(name, patterns, stimulus, observe, lines, failures,

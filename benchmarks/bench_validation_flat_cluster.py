@@ -18,7 +18,7 @@ decomposition is sound.
 
 from conftest import cached_campaign, run_once, write_result
 
-from repro.core.campaign import execute_self_test
+from repro.core.campaign import trace_program
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim import GradeOptions, grade
 from repro.isa.encoding import decode
@@ -31,9 +31,7 @@ HIER_COMPONENTS = ("CTRL", "BMUX", "ALU", "BSH")
 
 def flat_cluster_campaign():
     """Grade the composed execute stage with the Phase A trace."""
-    self_test = SelfTestMethodology().build_program("A")
-    _, tracer, _ = execute_self_test(self_test)
-    specs = tracer.finalize()
+    specs = trace_program(SelfTestMethodology().build_program("A"))[1]
     bmux_patterns, bmux_observe = specs["BMUX"]
     ctrl_patterns, ctrl_observe = specs["CTRL"]
     assert len(bmux_patterns) == len(ctrl_patterns)

@@ -30,6 +30,7 @@ from repro.core.campaign import (
     grade_program,
     grade_traced,
     run_campaign,
+    trace_program,
 )
 
 __all__ = [
@@ -45,4 +46,5 @@ __all__ = [
     "grade_program",
     "grade_traced",
     "run_campaign",
+    "trace_program",
 ]

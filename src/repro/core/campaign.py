@@ -25,7 +25,10 @@ component a lower-bound coverage row rather than aborting the campaign).
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
+from array import array
+from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -47,6 +50,7 @@ from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObserveSpec
 from repro.faultsim.options import GradeOptions
+from repro.isa.program import Program
 from repro.netlist.netlist import Netlist
 from repro.plasma.components import (
     COMPONENTS,
@@ -61,6 +65,7 @@ from repro.runtime.events import JobEvent
 from repro.runtime.policy import RuntimeConfig
 from repro.runtime.pool import ShardScheduler
 from repro.runtime.sharding import JobOutcome, ShardTask, plan_shards
+from repro.utils.bits import MASK32
 
 #: Optional netlist -> netlist rewrite applied before grading.
 NetlistTransform = Callable[[Netlist], Netlist]
@@ -172,6 +177,102 @@ def execute_self_test(
     cpu.load_program(self_test.program)
     result = cpu.run()
     return result, tracer, cpu.memory
+
+
+# ---------------------------------------------------------------- tracing
+
+#: Distinct programs whose traced runs one process keeps (LRU).
+PROGRAM_TRACE_ENTRIES = 4
+
+#: One traced run: the CPU summary and ``tracer.finalize()``'s specs.
+TracedProgram = tuple[CPUResult, dict[str, tuple[Stimulus, ObserveSpec]]]
+
+
+def _program_key(program: Program) -> bytes:
+    """Digest of what :meth:`PlasmaCPU.load_program` loads: the memory
+    image and the entry point."""
+    image = sorted(program.to_image().items())
+    words = array("Q", [(a << 32) | (w & MASK32) for a, w in image])
+    digest = hashlib.sha256(program.entry.to_bytes(8, "little"))
+    digest.update(words.tobytes())
+    return digest.digest()
+
+
+class _TraceSlot:
+    """One memo entry; its lock makes a miss trace at most once."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.traced: TracedProgram | None = None
+
+
+class ProgramTraceMemo:
+    """Thread-safe LRU memo of traced self-test runs, keyed by program
+    content (:func:`trace_program`).
+
+    ``traced`` counts CPU runs, ``reused`` the calls answered from the
+    memo.  A failed run stores nothing, so the next call runs again.
+    """
+
+    def __init__(self) -> None:
+        self.traced = 0
+        self.reused = 0
+        self._lock = threading.Lock()
+        self._slots: OrderedDict[bytes, _TraceSlot] = OrderedDict()
+
+    def get(self, self_test: SelfTestProgram) -> TracedProgram:
+        """``self_test``'s traced run, running the CPU on a miss."""
+        key = _program_key(self_test.program)
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = _TraceSlot()
+                while len(self._slots) > PROGRAM_TRACE_ENTRIES:
+                    self._slots.popitem(last=False)
+            else:
+                self._slots.move_to_end(key)
+        with slot.lock:
+            if slot.traced is not None:
+                with self._lock:
+                    self.reused += 1
+                return slot.traced
+            cpu_result, tracer, _memory = execute_self_test(self_test)
+            traced = slot.traced = (cpu_result, tracer.finalize())
+            with self._lock:
+                self.traced += 1
+            return traced
+
+    def counts(self) -> dict[str, int]:
+        """``{"traced": n, "reused": n}`` since the last :meth:`clear`."""
+        with self._lock:
+            return {"traced": self.traced, "reused": self.reused}
+
+    def clear(self) -> None:
+        """Forget every traced run and zero the counts."""
+        with self._lock:
+            self._slots.clear()
+            self.traced = self.reused = 0
+
+
+_PROGRAM_TRACES = ProgramTraceMemo()
+
+
+def program_trace_memo() -> ProgramTraceMemo:
+    """This process's :func:`trace_program` memo."""
+    return _PROGRAM_TRACES
+
+
+def trace_program(self_test: SelfTestProgram) -> TracedProgram:
+    """Run ``self_test`` on the traced CPU once per process:
+    ``(cpu_result, specs)``, as :func:`grade_traced` takes them.
+
+    The traced stimulus is a pure function of the loaded program, so
+    runs are memoized by a digest of the memory image and entry point
+    (up to :data:`PROGRAM_TRACE_ENTRIES` programs, least recently used
+    evicted first).  Every call for one program returns the *same*
+    objects: callers must treat the result as read-only.
+    """
+    return _PROGRAM_TRACES.get(self_test)
 
 
 # ------------------------------------------------------------------- plan
@@ -400,7 +501,7 @@ def grade_traced(
 ) -> CampaignOutcome:
     """Fault-grade already-traced stimulus (the grading stage alone).
 
-    :func:`grade_program` = :func:`execute_self_test` + this function.
+    :func:`grade_program` = :func:`trace_program` + this function.
     Split out so callers that already hold a CPU trace (benchmarks, the
     parallel-scaling harness) can time or re-run the grading stage
     without re-executing the program.
@@ -514,10 +615,11 @@ def grade_program(
     execution knobs and ``options`` the grading knobs (see
     :func:`grade_traced`).  Engine choice is *not* part of the checkpoint
     fingerprint: verdicts are engine-invariant, so a resumed campaign may
-    switch engines and still reuse journaled shards.
+    switch engines and still reuse journaled shards.  The traced run
+    comes from :func:`trace_program`, so a program already graded in
+    this process does not run on the CPU again.
     """
-    cpu_result, tracer, _memory = execute_self_test(self_test)
-    specs = tracer.finalize()
+    cpu_result, specs = trace_program(self_test)
     return grade_traced(
         self_test,
         cpu_result,

@@ -54,9 +54,10 @@ MULDIV_LATENCY = 33
 PIPELINE_FILL = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CPUResult:
-    """Summary of a completed run."""
+    """Summary of a completed run (read-only: every grade of one traced
+    program shares it)."""
 
     cycles: int
     instructions: int

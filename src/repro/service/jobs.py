@@ -396,7 +396,11 @@ class CampaignService:
             self._finalize(job, "done")
 
     def _execute(self, job: CampaignJob) -> CampaignOutcome:
-        """Grade one campaign (worker thread)."""
+        """Grade one campaign (worker thread).
+
+        Jobs of one program share its traced CPU run
+        (:func:`~repro.core.campaign.trace_program`).
+        """
         from repro.core.campaign import grade_program
 
         request = job.request
@@ -510,6 +514,8 @@ class CampaignService:
 
     def stats_payload(self) -> dict[str, object]:
         """The GET /v1/stats body."""
+        from repro.core.campaign import program_trace_memo
+
         queued = sum(1 for j in self.jobs.values() if j.state == "queued")
         running = sum(
             1 for j in self.jobs.values()
@@ -533,6 +539,8 @@ class CampaignService:
             ),
             "jobs": dict(self.counters),
             "tenants": tenants,
+            # Process-wide: CPU runs vs. traced runs reused from memory.
+            "programs": program_trace_memo().counts(),
             "store": None,
         }
         if self.store is not None:

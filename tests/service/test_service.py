@@ -16,8 +16,11 @@ import time
 import urllib.error
 import urllib.request
 
-from repro.core.campaign import grade_program
+import pytest
+
+from repro.core.campaign import grade_program, program_trace_memo
 from repro.core.methodology import SelfTestMethodology
+from repro.plasma.cpu import PlasmaCPU
 from repro.reporting.tables import coverage_tables_json
 from repro.service import ServiceConfig, ServiceServer
 from repro.service.schemas import CampaignRequest
@@ -139,6 +142,57 @@ class TestGradingEndToEnd:
             assert stats["jobs"]["submitted"] == 1
             assert stats["jobs"]["attached"] == 1
             assert stats["jobs"]["done"] == 1
+
+
+@pytest.fixture
+def cpu_runs(monkeypatch):
+    """An empty traced-program memo; ``PlasmaCPU.run`` calls, slowed so
+    that jobs started together overlap their trace."""
+    program_trace_memo().clear()
+    runs = []
+    real_run = PlasmaCPU.run
+
+    def slow_run(self, *args, **kwargs):
+        runs.append(self)
+        time.sleep(0.3)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlasmaCPU, "run", slow_run)
+    yield runs
+    program_trace_memo().clear()
+
+
+class TestProgramTraces:
+    """Jobs of one program share its traced run (``trace_program``)."""
+
+    def test_second_subset_reuses_the_trace(self, cpu_runs):
+        with running_server(workers=1) as port:
+            for components in (["CTRL"], ["BMUX"]):
+                _, _, payload = request(
+                    port, "POST", "/v1/campaigns",
+                    {"phases": "A", "components": components},
+                )
+                final = wait_terminal(port, payload["id"])
+                assert final["state"] == "done", final.get("error")
+            _, _, stats = request(port, "GET", "/v1/stats")
+        assert stats["programs"] == {"traced": 1, "reused": 1}
+        assert len(cpu_runs) == 1
+
+    def test_concurrent_first_submissions_trace_once(self, cpu_runs):
+        with running_server(workers=2) as port:
+            ids = [
+                request(
+                    port, "POST", "/v1/campaigns",
+                    {"phases": "A", "components": components},
+                )[2]["id"]
+                for components in (["CTRL"], ["BMUX"])
+            ]
+            for job_id in ids:
+                final = wait_terminal(port, job_id)
+                assert final["state"] == "done", final.get("error")
+            _, _, stats = request(port, "GET", "/v1/stats")
+        assert stats["programs"] == {"traced": 1, "reused": 1}
+        assert len(cpu_runs) == 1
 
 
 class TestAdmissionControl:
@@ -321,3 +375,4 @@ class TestFailurePaths:
             assert stats["workers"] == 0
             assert stats["store"]["root"] == str(tmp_path)
             assert stats["store"]["hit_rate"] == 0.0
+            assert set(stats["programs"]) == {"traced", "reused"}

@@ -3,14 +3,19 @@
 
 Boots ``python -m repro serve`` on an ephemeral port, drives it with
 the stdlib client (``examples/service_client.py --json``) and asserts
-the three properties the service is allowed to promise:
+the four properties the service is allowed to promise:
 
 1. **transport, not computation** — the coverage JSON for a GL,PLN
    Phase A campaign is byte-identical to a direct in-process
    ``grade_program`` run;
 2. **idempotency** — resubmitting the identical campaign attaches to
    the finished job (same result, no re-grading);
-3. **persistence** — after a full server restart on the same
+3. **one traced run per program** — a second Phase A campaign over a
+   different component subset (CTRL,GL) reuses the server's traced
+   program (``/v1/stats`` ``programs.reused >= 1``) and reports the
+   shared component's Table 5 row (all but the subset-relative MOFC)
+   exactly as the first campaign did;
+4. **persistence** — after a full server restart on the same
    ``--cache-dir``, the resubmission is a warm-store replay:
    ``cache_hit`` with zero re-simulated fault classes.
 
@@ -26,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import urllib.request
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,6 +39,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 PHASES = "A"
 COMPONENTS = "GL,PLN"
+#: A second subset sharing GL with ``COMPONENTS``.
+OTHER_COMPONENTS = "CTRL,GL"
 LISTENING = re.compile(r"listening on http://[^:]+:(\d+)")
 
 
@@ -61,13 +69,13 @@ def stop_server(proc: subprocess.Popen) -> None:
         proc.wait()
 
 
-def run_client(port: int) -> dict:
+def run_client(port: int, components: str = COMPONENTS) -> dict:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     started = time.monotonic()
     result = subprocess.run(
         [sys.executable, str(ROOT / "examples" / "service_client.py"),
          "--port", str(port), "--phases", PHASES,
-         "--components", COMPONENTS, "--json"],
+         "--components", components, "--json"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=900,
     )
     if result.returncode != 0:
@@ -82,6 +90,23 @@ def run_client(port: int) -> dict:
           f"cache_hit={payload['cache_hit']}, "
           f"attached={payload['attached']})")
     return payload
+
+
+def server_stats(port: int) -> dict:
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}/v1/stats", timeout=30
+    ) as resp:
+        return json.loads(resp.read())
+
+
+def table5_rows(payload: dict, names: set[str]) -> dict[str, dict]:
+    """Table 5 rows of ``names`` without ``mofc``, which is relative to
+    all faults of the graded subset and so differs between subsets."""
+    return {
+        row["name"]: {k: v for k, v in row.items() if k != "mofc"}
+        for row in payload["coverage"]["table5"][PHASES]
+        if row["name"] in names
+    }
 
 
 def direct_coverage() -> str:
@@ -127,6 +152,22 @@ def main() -> int:
             assert attached["id"] == cold["id"], "resubmission re-graded"
             assert attached["attached"] >= 2
             assert json.dumps(attached["coverage"], sort_keys=True) == expected
+
+            print(f"smoke: second subset {OTHER_COMPONENTS} (same program)")
+            other = run_client(port, OTHER_COMPONENTS)
+            assert other["state"] == "done", other.get("error")
+            assert other["id"] != cold["id"], "a new subset attached"
+            programs = server_stats(port)["programs"]
+            print(f"  programs: {programs}")
+            assert programs["reused"] >= 1, (
+                f"the second campaign traced the program again: {programs}"
+            )
+            shared = set(COMPONENTS.split(",")) & set(
+                OTHER_COMPONENTS.split(",")
+            )
+            assert table5_rows(other, shared) == table5_rows(cold, shared), (
+                "a shared component's Table 5 row differs between subsets"
+            )
         finally:
             stop_server(proc)
 
@@ -145,7 +186,8 @@ def main() -> int:
         finally:
             stop_server(proc)
 
-    print("smoke: OK — identical coverage, idempotent attach, warm replay")
+    print("smoke: OK — identical coverage, idempotent attach, "
+          "reused trace, warm replay")
     return 0
 
 
