@@ -32,16 +32,18 @@ HIER_COMPONENTS = ("CTRL", "BMUX", "ALU", "BSH")
 def flat_cluster_campaign():
     """Grade the composed execute stage with the Phase A trace."""
     specs = trace_program(SelfTestMethodology().build_program("A"))[1]
-    bmux_patterns, bmux_observe = specs["BMUX"]
-    ctrl_patterns, ctrl_observe = specs["CTRL"]
+    bmux_patterns, bmux_plan = specs["BMUX"]
+    ctrl_patterns, ctrl_plan = specs["CTRL"]
     assert len(bmux_patterns) == len(ctrl_patterns)
 
     patterns = []
     observe = []
-    for bmux_pat, ctrl_pat, bmux_ports, ctrl_ports in zip(
-        bmux_patterns, ctrl_patterns, bmux_observe, ctrl_observe,
+    for bmux_pat, ctrl_pat, bmux_entry, ctrl_entry in zip(
+        bmux_patterns, ctrl_patterns, bmux_plan.entries, ctrl_plan.entries,
         strict=True,
     ):
+        bmux_ports = {name for name, _ in bmux_entry}
+        ctrl_ports = {name for name, _ in ctrl_entry}
         word = ctrl_pat["instr"]
         patterns.append(
             {

@@ -548,7 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "so coverage can only stay equal or improve")
     p_c.add_argument("--engine", choices=engine_choices, default="auto",
                      help="fault-sim engine (default: auto — packed for "
-                          "deep combinational components, differential "
+                          "deep combinational components and for "
+                          "sequential ones whose stimulus is at least "
+                          "90%% held cycles, such as MulD; differential "
                           "otherwise)")
     p_c.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="parallel grading workers; each component's "
@@ -572,7 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 64 = good machine + 63 fault "
                           "classes); only meaningful where the packed "
                           "engine grades (--engine packed, or auto on "
-                          "deep combinational components)")
+                          "deep combinational components and mostly "
+                          "held sequential ones)")
     p_c.set_defaults(func=_cmd_campaign)
 
     p_inv = sub.add_parser("inventory", help="print Tables 2 and 3")

@@ -48,7 +48,7 @@ from repro.faultsim.engine import PreparedGrade, Stimulus, grade
 from repro.faultsim.faults import build_fault_list
 from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
-from repro.faultsim.observe import ObserveSpec
+from repro.faultsim.observe import ObservePlan, ObserveSpec
 from repro.faultsim.options import GradeOptions
 from repro.isa.program import Program
 from repro.netlist.netlist import Netlist
@@ -184,8 +184,10 @@ def execute_self_test(
 #: Distinct programs whose traced runs one process keeps (LRU).
 PROGRAM_TRACE_ENTRIES = 4
 
-#: One traced run: the CPU summary and ``tracer.finalize()``'s specs.
-TracedProgram = tuple[CPUResult, dict[str, tuple[Stimulus, ObserveSpec]]]
+#: One traced run: the CPU summary and, per component, its stimulus and
+#: observe plan (``tracer.finalize()``'s specs, each observe list
+#: normalized once).
+TracedProgram = tuple[CPUResult, dict[str, tuple[Stimulus, ObservePlan]]]
 
 
 def _program_key(program: Program) -> bytes:
@@ -237,7 +239,11 @@ class ProgramTraceMemo:
                     self.reused += 1
                 return slot.traced
             cpu_result, tracer, _memory = execute_self_test(self_test)
-            traced = slot.traced = (cpu_result, tracer.finalize())
+            specs = {
+                name: (stimulus, ObservePlan.from_spec(observe, len(stimulus)))
+                for name, (stimulus, observe) in tracer.finalize().items()
+            }
+            traced = slot.traced = (cpu_result, specs)
             with self._lock:
                 self.traced += 1
             return traced
@@ -266,11 +272,15 @@ def trace_program(self_test: SelfTestProgram) -> TracedProgram:
     """Run ``self_test`` on the traced CPU once per process:
     ``(cpu_result, specs)``, as :func:`grade_traced` takes them.
 
-    The traced stimulus is a pure function of the loaded program, so
-    runs are memoized by a digest of the memory image and entry point
-    (up to :data:`PROGRAM_TRACE_ENTRIES` programs, least recently used
-    evicted first).  Every call for one program returns the *same*
-    objects: callers must treat the result as read-only.
+    Each spec pairs a component's stimulus with its
+    :class:`~repro.faultsim.observe.ObservePlan`, normalized here once.
+    The traced stimulus and observability are a pure function of the
+    loaded program, so runs are memoized by a digest of the memory image
+    and entry point (up to :data:`PROGRAM_TRACE_ENTRIES` programs, least
+    recently used evicted first).  Every call for one program returns
+    the *same* objects: callers must treat the result as read-only.  A
+    later grade of the program reuses each plan with its memoized
+    signature, port check and net projections.
     """
     return _PROGRAM_TRACES.get(self_test)
 
@@ -339,8 +349,9 @@ def _plan_component(
     reuses shard bounds from the other universe.  With a persistent
     store, a verdict record for this exact grade replays the whole
     component with zero shards; the lookup comes before the fault list,
-    collapsing and engine selection, so a hit costs the netlist, the
-    observe plan, the key and one record read.  ``in_process`` hands the
+    collapsing and engine selection, so a hit costs the key and one
+    record read (a :func:`trace_program` plan arrives normalized, its
+    signature memoized after the first grade).  ``in_process`` hands the
     prepared grade to this process's shards, so they build nothing of
     their own.
     """
@@ -513,8 +524,9 @@ def grade_traced(
     Section 11).
 
     Args:
-        specs: ``tracer.finalize()`` output — per component name, the
-            ``(stimulus, observe)`` pair captured during execution.
+        specs: per component name, the ``(stimulus, observe)`` pair
+            captured during execution: :func:`trace_program`'s plans,
+            or ``tracer.finalize()``'s raw observe lists.
         runtime: execution knobs.  ``None`` grades in process: one
             component at a time, and a grading exception propagates
             unchanged.  A :class:`~repro.runtime.RuntimeConfig` routes

@@ -404,9 +404,12 @@ class PreparedGrade:
     ``fault_list`` may be ``None`` (the canonical universe, built on
     first use).  The observe plan and the verdict key come first, so
     :meth:`replay` reads a stored record before anything else is built:
-    a hit builds no fault list.  The fault list, the collapse map, the
-    engine, the proven-redundant prune set and the universe are built
-    lazily, on a miss, and then shared by every slice this object
+    a hit builds no fault list.  An :class:`ObservePlan` in the options
+    (what :func:`repro.core.campaign.trace_program` supplies) is used
+    as is, after its per-netlist port check, so a repeated grade reuses
+    its signature and net projections.  The fault list, the collapse
+    map, the engine, the proven-redundant prune set and the universe are
+    built lazily, on a miss, and then shared by every slice this object
     grades.
     """
 

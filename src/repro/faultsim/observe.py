@@ -21,7 +21,9 @@ Accepted per-entry forms (one entry per pattern / cycle):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import partial
 from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import FaultSimError
@@ -30,6 +32,15 @@ from repro.netlist.netlist import Netlist, PortDirection
 #: One normalized entry: ``(port name, lane mask)`` pairs in name order;
 #: a ``None`` mask means "all lanes of this entry".
 Entry = tuple[tuple[str, "int | None"], ...]
+
+#: Netlists whose projections one plan keeps (oldest dropped first).  A
+#: traced program's plans live as long as the process holds its trace,
+#: so a transformed netlist built per grade must not stay pinned.
+_MEMO_NETLISTS = 4
+
+#: Guards the per-netlist memo: one plan may serve grades in several
+#: threads at once (the campaign service's executors).
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -41,6 +52,12 @@ class ObservePlan:
             plan covers.
         entries: one normalized :data:`Entry` per stimulus entry, or
             ``None`` meaning *every output port, every lane, always*.
+
+    A plan is immutable and memoizes what it derives: its
+    :meth:`signature`, and per netlist its port check and engine
+    projections.  One plan can therefore back every grade of a traced
+    program (:func:`repro.core.campaign.trace_program`); a pickled plan
+    carries no netlist.
     """
 
     n_entries: int
@@ -64,10 +81,11 @@ class ObservePlan:
 
         Args:
             observe: ``None``, an existing plan, or a sequence with one
-                entry per stimulus entry (see module docstring).
+                entry per stimulus entry (see module docstring).  A plan
+                is returned as is, after the same checks.
             n_entries: stimulus length the plan must match.
             netlist: when given, port names are checked against its
-                output ports.
+                output ports (once per netlist for a given plan).
 
         Raises:
             FaultSimError: entry-count mismatch, unknown or non-output
@@ -81,6 +99,10 @@ class ObservePlan:
                     f"observe plan covers {observe.n_entries} entries "
                     f"for {n_entries} stimulus entries"
                 )
+            if netlist is not None:
+                observe._memo(
+                    netlist, ("ports",), partial(observe._check_ports, netlist)
+                )
             return observe
         if len(observe) != n_entries:
             raise FaultSimError(
@@ -89,11 +111,7 @@ class ObservePlan:
             )
         output_ports = None
         if netlist is not None:
-            output_ports = {
-                p.name
-                for p in netlist.ports.values()
-                if p.direction is PortDirection.OUTPUT
-            }
+            output_ports = _output_ports(netlist)
         # Phase-A specs hold thousands of entries but only a handful of
         # distinct ones: normalize and validate each distinct raw entry
         # once, and share one tuple between equal entries.  Only entries
@@ -136,6 +154,26 @@ class ObservePlan:
                     memo[key] = entry
             entries.append(entry)
         return cls(n_entries, tuple(entries))
+
+    def _check_ports(self, netlist: Netlist) -> bool:
+        """Raise unless every observed port is an output of ``netlist``."""
+        names = {
+            name
+            for entry in dict.fromkeys(self.entries or ())
+            for name, _ in entry
+        }
+        unknown = names - _output_ports(netlist)
+        if unknown:
+            raise FaultSimError(
+                f"observed port {min(unknown)!r} is not an output port"
+            )
+        return True
+
+    def __getstate__(self) -> dict[str, object]:
+        # The projection memo pins netlists: leave it out of a pickle.
+        state = dict(self.__dict__)
+        state.pop("_projection_memo", None)
+        return state
 
     # -------------------------------------------------------- properties
 
@@ -180,26 +218,34 @@ class ObservePlan:
     #
     # The projections below are memoized on the plan instance: grading
     # through a collapse map runs up to two engine passes over one plan,
+    # a traced program's plan serves every later grade of that program,
     # and re-deriving the net maps dominated the second pass's cost on
     # small components.  Netlists are keyed by ``id()`` and pinned in the
     # entry, so a key match implies object identity.  Callers must treat
     # the returned structures as read-only — they are shared between
-    # passes.
+    # passes and grades.
 
     def _memo(
         self,
+        netlist: Netlist,
         key: tuple[object, ...],
-        pin: object,
         build: "Callable[[], object]",
     ) -> object:
-        memo: dict[tuple[object, ...], tuple[object, object]] = (
-            self.__dict__.setdefault("_projection_memo", {})
-        )
-        entry = memo.get(key)
-        if entry is None:
-            entry = (pin, build())
-            memo[key] = entry
-        return entry[1]
+        with _MEMO_LOCK:
+            memo: dict[int, tuple[Netlist, dict[tuple[object, ...], object]]]
+            memo = self.__dict__.setdefault("_projection_memo", {})
+            slot = memo.get(id(netlist))
+            if slot is not None and key in slot[1]:
+                return slot[1][key]
+        value = build()
+        with _MEMO_LOCK:
+            slot = memo.get(id(netlist))
+            if slot is None:
+                slot = memo[id(netlist)] = (netlist, {})
+                while len(memo) > _MEMO_NETLISTS:
+                    del memo[next(iter(memo))]
+            # The first value stored wins: racing threads share one.
+            return slot[1].setdefault(key, value)
 
     def net_masks(
         self, netlist: Netlist, full_mask: int
@@ -211,8 +257,7 @@ class ObservePlan:
         if self.entries is None:
             return None
         return self._memo(  # type: ignore[return-value]
-            ("nets", id(netlist), full_mask),
-            netlist,
+            netlist, ("nets", full_mask),
             lambda: self._build_net_masks(netlist, full_mask),
         )
 
@@ -252,8 +297,7 @@ class ObservePlan:
         if self.entries is None:
             return None
         return self._memo(  # type: ignore[return-value]
-            ("packed", id(netlist)),
-            netlist,
+            netlist, ("packed",),
             lambda: self._build_packed(netlist),
         )
 
@@ -273,6 +317,14 @@ class ObservePlan:
                 for net in netlist.port(name).nets:
                     nets[net] = nets.get(net, 0) | lanes
         return nets
+
+
+def _output_ports(netlist: Netlist) -> set[str]:
+    return {
+        p.name
+        for p in netlist.ports.values()
+        if p.direction is PortDirection.OUTPUT
+    }
 
 
 #: Every ``observe`` form :meth:`ObservePlan.from_spec` accepts: nothing,

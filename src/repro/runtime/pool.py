@@ -399,7 +399,10 @@ class ShardScheduler:
                 handles.append(worker.conn)
                 handles.append(worker.proc.sentinel)
             ready = set(
-                connection.wait(handles, self._wait_timeout(busy, pending))
+                connection.wait(
+                    handles,
+                    self._wait_timeout(busy, pending, len(pool.workers)),
+                )
             )
             for worker in busy:
                 if worker.conn in ready:
@@ -449,10 +452,10 @@ class ShardScheduler:
     #: slowest shard runs, which would defer cancellation indefinitely.
     CANCEL_POLL_SECONDS = 0.25
 
-    def _wait_timeout(self, busy, pending) -> float | None:
+    def _wait_timeout(self, busy, pending, n_workers) -> float | None:
         """How long ``connection.wait`` may block before the scheduler
-        must wake up (per-shard deadline, a backoff expiring, or the
-        cancellation poll)."""
+        must wake up (per-shard deadline, a backoff expiring while a
+        worker is idle, or the cancellation poll)."""
         candidates = []
         now = time.monotonic()
         if self.config.timeout_seconds is not None:
@@ -460,7 +463,10 @@ class ShardScheduler:
                 worker.started + self.config.timeout_seconds - now
                 for worker in busy
             )
-        if pending:
+        if pending and len(busy) < n_workers:
+            # A queued shard can only start on an idle worker.  With
+            # every worker busy its ``eligible_at`` (0.0 unless backing
+            # off) would clamp the wait to zero and spin this process.
             candidates.append(min(p.eligible_at for p in pending) - now)
         if self.config.cancel is not None:
             candidates.append(self.CANCEL_POLL_SECONDS)

@@ -20,6 +20,7 @@ from repro.core.campaign import (
     trace_program,
 )
 from repro.core.methodology import SelfTestMethodology, SelfTestProgram
+from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import GradeOptions
 from repro.faultsim.store import TraceStore
 from repro.isa.assembler import assemble
@@ -68,18 +69,36 @@ def _verdicts(outcome):
 
 
 def _digest(traced):
-    """Every stimulus and observe entry of a traced run, plus its
-    ``CPUResult``."""
+    """Every stimulus entry and observe plan entry of a traced run, plus
+    its ``CPUResult``."""
     cpu_result, specs = traced
     digest = hashlib.sha256(repr(cpu_result).encode())
     for name in sorted(specs):
-        stimulus, observe = specs[name]
+        stimulus, plan = specs[name]
         digest.update(name.encode())
         for entry in stimulus:
             digest.update(repr(sorted(entry.items())).encode())
-        for entry in observe:
+        digest.update(repr(plan.n_entries).encode())
+        for entry in plan.entries or ():
             digest.update(repr(entry).encode())
     return digest.hexdigest()
+
+
+@pytest.fixture
+def raw_plans(monkeypatch):
+    """The raw observe specs ``ObservePlan.from_spec`` normalizes."""
+    built = []
+    real_from_spec = ObservePlan.from_spec
+
+    def counting_from_spec(cls, observe, n_entries, netlist=None):
+        if observe is not None and not isinstance(observe, ObservePlan):
+            built.append(observe)
+        return real_from_spec(observe, n_entries, netlist)
+
+    monkeypatch.setattr(
+        ObservePlan, "from_spec", classmethod(counting_from_spec)
+    )
+    return built
 
 
 class TestOneRunPerProgram:
@@ -202,8 +221,41 @@ class TestConcurrency:
         assert program_trace_memo().counts() == {"traced": 1, "reused": 1}
 
 
+class TestPlansBuiltOnce:
+    """The traced run carries each component's observe plan: later
+    grades of the program reuse it instead of normalizing again."""
+
+    def test_second_grade_program_builds_no_plan(self, cpu_runs, raw_plans):
+        components = ["CTRL", "BMUX", "GL"]
+        first = grade_program(_phase_a(), components=components)
+        _, specs = trace_program(_phase_a())
+        assert len(raw_plans) == len(specs)
+        for stimulus, plan in specs.values():
+            assert isinstance(plan, ObservePlan)
+            assert plan.n_entries == len(stimulus)
+        raw_plans.clear()
+        second = grade_program(_phase_a(), components=components)
+        assert raw_plans == []
+        assert second.table5() == first.table5()
+        assert _verdicts(second) == _verdicts(first)
+
+    def test_store_replay_reuses_the_plan_signature(
+        self, cpu_runs, raw_plans, tmp_path
+    ):
+        options = GradeOptions(cache=TraceStore(tmp_path))
+        first = grade_program(_phase_a(), components=["GL"], options=options)
+        raw_plans.clear()
+        _, specs = trace_program(_phase_a())
+        signature = specs["GL"][1].__dict__["_signature_memo"]
+        replay = grade_program(_phase_a(), components=["GL"], options=options)
+        assert replay.cached_components == ["GL"]
+        assert raw_plans == []
+        assert specs["GL"][1].__dict__["_signature_memo"] is signature
+        assert _verdicts(replay) == _verdicts(first)
+
+
 class TestSharedObjectsStayUnchanged:
-    """Grading reads the memoized stimulus and observe entries and the
+    """Grading reads the memoized stimulus, observe plans and the
     ``CPUResult``; it must never change them, whichever way it runs."""
 
     def test_four_ways_of_grading(self, cpu_runs, tmp_path):

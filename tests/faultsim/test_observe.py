@@ -1,5 +1,7 @@
 """Unit tests for the normalized ObservePlan shared by every engine."""
 
+import pickle
+
 import pytest
 
 from repro.errors import FaultSimError
@@ -58,6 +60,75 @@ class TestConstruction:
     def test_unknown_port_rejected(self):
         with pytest.raises(FaultSimError, match="not an output port"):
             ObservePlan.from_spec([("nope",)], 1, two_output_netlist())
+
+
+class TestPlanReuse:
+    """A plan passes through ``from_spec`` and is still validated: its
+    entry count always, its ports once per netlist."""
+
+    def test_plan_port_missing_from_netlist_rejected(self):
+        plan = ObservePlan.from_spec([("y",), ("w",)], 2)
+        with pytest.raises(FaultSimError, match="'w' is not an output"):
+            ObservePlan.from_spec(plan, 2, two_output_netlist())
+
+    def test_plan_input_port_rejected(self):
+        plan = ObservePlan.from_spec([("a",)], 1)
+        with pytest.raises(FaultSimError, match="not an output port"):
+            ObservePlan.from_spec(plan, 1, two_output_netlist())
+
+    def test_plan_entry_count_checked_with_netlist(self):
+        plan = ObservePlan.from_spec([("y",)], 1)
+        with pytest.raises(FaultSimError, match="covers 1 entries for 3"):
+            ObservePlan.from_spec(plan, 3, two_output_netlist())
+
+    def test_port_check_runs_once_per_netlist(self, monkeypatch):
+        plan = ObservePlan.from_spec([("y",), ("z",)], 2)
+        checked = []
+        real_check = ObservePlan._check_ports
+
+        def counting_check(self, netlist):
+            checked.append(netlist)
+            return real_check(self, netlist)
+
+        monkeypatch.setattr(ObservePlan, "_check_ports", counting_check)
+        netlist, other = two_output_netlist(), two_output_netlist()
+        for _ in range(3):
+            assert ObservePlan.from_spec(plan, 2, netlist) is plan
+        assert ObservePlan.from_spec(plan, 2, other) is plan
+        assert checked == [netlist, other]
+
+    def test_checked_plan_still_checks_a_transformed_netlist(self):
+        plan = ObservePlan.from_spec([("y",), ("z",)], 2)
+        ObservePlan.from_spec(plan, 2, two_output_netlist())
+        b = NetlistBuilder("renamed")
+        a = b.input("a", 2)
+        b.output("y", [a[0]])
+        b.output("q", [a[1]])
+        with pytest.raises(FaultSimError, match="'z' is not an output"):
+            ObservePlan.from_spec(plan, 2, b.build())
+
+    def test_pickle_drops_the_netlist_memo(self):
+        netlist = two_output_netlist()
+        plan = ObservePlan.from_spec([("y",), ("y", "z")], 2, netlist)
+        plan.net_masks(netlist, 0b1)
+        plan.packed_net_masks(netlist)
+        signature = plan.signature()
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan
+        assert "_projection_memo" not in clone.__dict__
+        assert "_projection_memo" in plan.__dict__
+        assert clone.signature() == signature
+        assert clone.net_masks(netlist, 0b1) == plan.net_masks(netlist, 0b1)
+
+    def test_memo_pins_a_bounded_number_of_netlists(self):
+        plan = ObservePlan.from_spec([("y",)], 1)
+        netlists = [two_output_netlist() for _ in range(10)]
+        for netlist in netlists:
+            plan.packed_net_masks(netlist)
+        memo = plan.__dict__["_projection_memo"]
+        pinned = [id(pin) for pin, _ in memo.values()]
+        assert pinned == [id(n) for n in netlists[-len(memo):]]
+        assert len(memo) < len(netlists)
 
 
 class TestEngineRepresentations:

@@ -43,6 +43,11 @@ def _hang(_x):
     time.sleep(60)
 
 
+def _nap(_x):
+    time.sleep(0.4)
+    return _x
+
+
 def _die_once(flag_path):
     """Crash the worker on the first attempt, succeed on the second."""
     if not os.path.exists(flag_path):
@@ -210,6 +215,20 @@ class TestShardScheduler(_AttemptLoopCases):
             assert outcomes[f"t{i:02d}"].status == "ok"
         kinds = [e.kind for e in scheduler.events.events if e.job == "slow"]
         assert kinds == ["start", "timeout", "degraded"]
+
+
+    def test_parent_sleeps_while_every_worker_is_busy(self):
+        # Four shards on two workers: two stay queued while both workers
+        # run.  The parent must block in ``connection.wait``, not poll.
+        scheduler = ShardScheduler(_config(), jobs=2)
+        wall = time.perf_counter()
+        cpu = time.process_time()
+        outcomes = scheduler.run(_tasks(_nap, n=4))
+        cpu = time.process_time() - cpu
+        wall = time.perf_counter() - wall
+        assert all(o.status == "ok" for o in outcomes.values())
+        assert wall >= 0.8
+        assert cpu < 0.1 * wall, f"parent used {cpu:.2f}s CPU in {wall:.2f}s"
 
 
 class TestInProcessScheduler(_AttemptLoopCases):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.campaign import grade_program, program_trace_memo
 from repro.core.methodology import SelfTestMethodology
+from repro.faultsim.observe import ObservePlan
 from repro.plasma.cpu import PlasmaCPU
 from repro.reporting.tables import coverage_tables_json
 from repro.service import ServiceConfig, ServiceServer
@@ -177,6 +178,35 @@ class TestProgramTraces:
             _, _, stats = request(port, "GET", "/v1/stats")
         assert stats["programs"] == {"traced": 1, "reused": 1}
         assert len(cpu_runs) == 1
+
+    def test_second_subset_builds_no_observe_plan(
+        self, cpu_runs, monkeypatch
+    ):
+        # The first job's trace normalizes every component's observe
+        # spec; a job over another subset reuses those plans.
+        built = []
+        real_from_spec = ObservePlan.from_spec
+
+        def counting_from_spec(cls, observe, n_entries, netlist=None):
+            if observe is not None and not isinstance(observe, ObservePlan):
+                built.append(observe)
+            return real_from_spec(observe, n_entries, netlist)
+
+        monkeypatch.setattr(
+            ObservePlan, "from_spec", classmethod(counting_from_spec)
+        )
+        counts = []
+        with running_server(workers=1) as port:
+            for components in (["CTRL", "GL"], ["BMUX", "PLN"]):
+                _, _, payload = request(
+                    port, "POST", "/v1/campaigns",
+                    {"phases": "A", "components": components},
+                )
+                final = wait_terminal(port, payload["id"])
+                assert final["state"] == "done", final.get("error")
+                counts.append(len(built))
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
 
     def test_concurrent_first_submissions_trace_once(self, cpu_runs):
         with running_server(workers=2) as port:
