@@ -169,6 +169,15 @@ def _campaign_runtime(args: argparse.Namespace) -> RuntimeConfig | None:
     )
 
 
+#: ``CampaignOutcome.program_source`` as the ``persistent cache:`` line
+#: words it.
+_PROGRAM_SOURCES = {
+    "traced": "run on the CPU",
+    "loaded": "loaded from the store",
+    "reused": "reused from memory",
+}
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     components = args.components.split(",") if args.components else None
     runtime = _campaign_runtime(args)
@@ -185,7 +194,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             outcome = outcomes[phases]
             print(
                 f"persistent cache: {len(outcome.cached_components)}"
-                f"/{len(outcome.results)} components reused"
+                f"/{len(outcome.results)} components reused, traced program "
+                f"{_PROGRAM_SOURCES[outcome.program_source]}"
             )
         if runtime is not None and runtime.checkpoint_dir is not None:
             # Later phases (and the journal entries the first phase just

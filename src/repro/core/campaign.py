@@ -24,6 +24,8 @@ component a lower-bound coverage row rather than aborting the campaign).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import threading
 import time
@@ -31,7 +33,9 @@ from array import array
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
+import repro
 from repro.core import sharded
 from repro.core.methodology import SelfTestMethodology, SelfTestProgram
 from repro.core.sharded import (
@@ -50,6 +54,13 @@ from repro.faultsim.harness import CampaignResult
 from repro.faultsim.held import held_share
 from repro.faultsim.observe import ObservePlan, ObserveSpec
 from repro.faultsim.options import GradeOptions
+from repro.faultsim.store import (
+    TraceStore,
+    plan_doc,
+    plan_from_doc,
+    stimulus_doc,
+    stimulus_from_doc,
+)
 from repro.isa.program import Program
 from repro.netlist.netlist import Netlist
 from repro.plasma.components import (
@@ -89,6 +100,11 @@ class CampaignOutcome:
     cached_components: list[str] = field(default_factory=list)
     #: Structured per-job runtime events (empty for the in-process path).
     events: list[JobEvent] = field(default_factory=list)
+    #: Where :func:`grade_program` took the traced run from:
+    #: ``"traced"`` (a CPU run), ``"loaded"`` (the persistent store) or
+    #: ``"reused"`` (this process's memo); empty when the caller passed
+    #: the traced run to :func:`grade_traced`.
+    program_source: str = ""
 
     @property
     def degraded(self) -> bool:
@@ -200,6 +216,71 @@ def _program_key(program: Program) -> bytes:
     return digest.digest()
 
 
+@functools.cache
+def _source_digest() -> str | None:
+    """SHA-256 of every ``*.py`` file of the imported ``repro`` package,
+    over sorted relative paths and bytes; ``None`` when the package
+    directory holds no readable source.
+
+    A traced run is a function of the program and of the code that
+    traced it, so a stored run is keyed by both.  Any module counts: a
+    narrower list could miss one the traced run depends on.
+    """
+    root = Path(repro.__file__).resolve().parent
+    digest = hashlib.sha256()
+    paths = sorted(root.rglob("*.py"))
+    try:
+        for path in paths:
+            source = path.read_bytes()
+            name = path.relative_to(root).as_posix().encode()
+            digest.update(b"%s\0%d\0" % (name, len(source)))
+            digest.update(source)
+    except OSError:
+        return None
+    return digest.hexdigest() if paths else None
+
+
+def _program_doc(traced: TracedProgram) -> dict | None:
+    """A traced run as a store record; ``None`` when a stimulus cannot
+    be held exactly (:func:`~repro.faultsim.store.stimulus_doc`)."""
+    cpu_result, specs = traced
+    components = {}
+    for name, (stimulus, plan) in specs.items():
+        doc = stimulus_doc(stimulus)
+        if doc is None:
+            return None
+        components[name] = {"stimulus": doc, "observe": plan_doc(plan)}
+    return {"cpu": dataclasses.asdict(cpu_result), "components": components}
+
+
+def _program_from_doc(doc: dict) -> TracedProgram:
+    """Decode :func:`_program_doc`.  Plan signatures and stimulus hashes
+    are not stored: the first grade recomputes them.
+
+    Raises:
+        KeyError / TypeError / ValueError: a malformed record.
+    """
+    cpu, components = doc["cpu"], doc["components"]
+    if not isinstance(cpu, dict) or not isinstance(components, dict):
+        raise TypeError("cpu and components must be objects")
+    cpu_result = CPUResult(
+        **{f.name: cpu[f.name] for f in dataclasses.fields(CPUResult)}
+    )
+    if type(cpu_result.halted) is not bool or not all(
+        type(value) is int
+        for value in (cpu_result.cycles, cpu_result.instructions, cpu_result.pc)
+    ):
+        raise TypeError("CPUResult fields have the wrong types")
+    specs = {}
+    for name, component in components.items():
+        stimulus = stimulus_from_doc(component["stimulus"])
+        plan = plan_from_doc(component["observe"])
+        if plan.n_entries != len(stimulus):
+            raise ValueError(f"{name}: the plan does not cover the stimulus")
+        specs[name] = (stimulus, plan)
+    return cpu_result, specs
+
+
 class _TraceSlot:
     """One memo entry; its lock makes a miss trace at most once."""
 
@@ -212,18 +293,22 @@ class ProgramTraceMemo:
     """Thread-safe LRU memo of traced self-test runs, keyed by program
     content (:func:`trace_program`).
 
-    ``traced`` counts CPU runs, ``reused`` the calls answered from the
-    memo.  A failed run stores nothing, so the next call runs again.
+    :meth:`counts` reports ``traced`` (CPU runs), ``loaded`` (runs read
+    from a persistent store) and ``reused`` (calls answered from the
+    memo).  A failed run stores nothing, so the next call runs again.
     """
 
     def __init__(self) -> None:
-        self.traced = 0
-        self.reused = 0
+        self._counts = dict.fromkeys(("traced", "loaded", "reused"), 0)
         self._lock = threading.Lock()
         self._slots: OrderedDict[bytes, _TraceSlot] = OrderedDict()
 
-    def get(self, self_test: SelfTestProgram) -> TracedProgram:
-        """``self_test``'s traced run, running the CPU on a miss."""
+    def get(
+        self, self_test: SelfTestProgram, store: TraceStore | None = None
+    ) -> tuple[TracedProgram, str]:
+        """``self_test``'s traced run and where it came from: ``"reused"``
+        (this memo), ``"loaded"`` (``store``) or ``"traced"`` (a CPU run,
+        then saved to ``store``)."""
         key = _program_key(self_test.program)
         with self._lock:
             slot = self._slots.get(key)
@@ -235,29 +320,48 @@ class ProgramTraceMemo:
                 self._slots.move_to_end(key)
         with slot.lock:
             if slot.traced is not None:
-                with self._lock:
-                    self.reused += 1
-                return slot.traced
-            cpu_result, tracer, _memory = execute_self_test(self_test)
-            specs = {
-                name: (stimulus, ObservePlan.from_spec(observe, len(stimulus)))
-                for name, (stimulus, observe) in tracer.finalize().items()
-            }
-            traced = slot.traced = (cpu_result, specs)
+                origin = "reused"
+            else:
+                store_key = None
+                if store is not None and (source := _source_digest()):
+                    store_key = store.program_key(key.hex(), source)
+                loaded = None if store_key is None else store.load_program(
+                    store_key, _program_from_doc
+                )
+                if loaded is not None:
+                    slot.traced, origin = loaded, "loaded"
+                else:
+                    slot.traced, origin = _trace(self_test), "traced"
+                    if store_key is not None and (
+                        doc := _program_doc(slot.traced)
+                    ) is not None:
+                        store.save_program(store_key, doc)
             with self._lock:
-                self.traced += 1
-            return traced
+                self._counts[origin] += 1
+            return slot.traced, origin
 
     def counts(self) -> dict[str, int]:
-        """``{"traced": n, "reused": n}`` since the last :meth:`clear`."""
+        """``{"traced": n, "loaded": n, "reused": n}`` since the last
+        :meth:`clear`."""
         with self._lock:
-            return {"traced": self.traced, "reused": self.reused}
+            return dict(self._counts)
 
     def clear(self) -> None:
         """Forget every traced run and zero the counts."""
         with self._lock:
             self._slots.clear()
-            self.traced = self.reused = 0
+            self._counts = dict.fromkeys(self._counts, 0)
+
+
+def _trace(self_test: SelfTestProgram) -> TracedProgram:
+    """Run ``self_test`` on the traced CPU and normalize each observe
+    list into a plan."""
+    cpu_result, tracer, _memory = execute_self_test(self_test)
+    specs = {
+        name: (stimulus, ObservePlan.from_spec(observe, len(stimulus)))
+        for name, (stimulus, observe) in tracer.finalize().items()
+    }
+    return cpu_result, specs
 
 
 _PROGRAM_TRACES = ProgramTraceMemo()
@@ -268,7 +372,9 @@ def program_trace_memo() -> ProgramTraceMemo:
     return _PROGRAM_TRACES
 
 
-def trace_program(self_test: SelfTestProgram) -> TracedProgram:
+def trace_program(
+    self_test: SelfTestProgram, store: TraceStore | None = None
+) -> TracedProgram:
     """Run ``self_test`` on the traced CPU once per process:
     ``(cpu_result, specs)``, as :func:`grade_traced` takes them.
 
@@ -281,8 +387,14 @@ def trace_program(self_test: SelfTestProgram) -> TracedProgram:
     the *same* objects: callers must treat the result as read-only.  A
     later grade of the program reuses each plan with its memoized
     signature, port check and net projections.
+
+    With a persistent ``store``, a memo miss first reads the run from
+    the store, keyed by that digest and by a digest of the package
+    source, so an edit to any module traces again; a run traced here is
+    saved to it.  A loaded run equals a traced one entry for entry;
+    equal entries share one object.
     """
-    return _PROGRAM_TRACES.get(self_test)
+    return _PROGRAM_TRACES.get(self_test, store)[0]
 
 
 # ------------------------------------------------------------------- plan
@@ -628,11 +740,14 @@ def grade_program(
     :func:`grade_traced`).  Engine choice is *not* part of the checkpoint
     fingerprint: verdicts are engine-invariant, so a resumed campaign may
     switch engines and still reuse journaled shards.  The traced run
-    comes from :func:`trace_program`, so a program already graded in
-    this process does not run on the CPU again.
+    comes from :func:`trace_program` with the options' persistent store,
+    so a program already graded in this process, or traced into that
+    store by any process running the same source, does not run on the
+    CPU again.
     """
-    cpu_result, specs = trace_program(self_test)
-    return grade_traced(
+    store = options.store if options is not None else None
+    (cpu_result, specs), source = _PROGRAM_TRACES.get(self_test, store)
+    outcome = grade_traced(
         self_test,
         cpu_result,
         specs,
@@ -642,6 +757,8 @@ def grade_program(
         runtime=runtime,
         options=options,
     )
+    outcome.program_source = source
+    return outcome
 
 
 def run_campaign(

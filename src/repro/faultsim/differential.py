@@ -134,7 +134,7 @@ class DifferentialFaultSimulator:
         Args:
             fault: the stuck-at fault to inject.
             trace: good-machine trajectory from
-                :meth:`LogicSimulator.run_sequence(record=True)` /
+                :meth:`LogicSimulator.trace_sequence` /
                 :meth:`run_parallel_sessions`.
             observe_nets: per-cycle ``{net: lane mask}`` observability maps
                 from :meth:`observe_nets_for` (None = all outputs, always).

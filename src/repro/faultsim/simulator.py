@@ -14,7 +14,7 @@ Sequential circuits are stepped cycle by cycle.  In the multi-lane form
 (:meth:`LogicSimulator.run_parallel_sessions`, :meth:`LogicSimulator.step`)
 lanes are *independent parallel sessions* advancing in lockstep, used to
 fault-grade combinational components with hundreds of patterns at once.
-The single-lane cycle walk (:meth:`LogicSimulator.run_sequence`) runs
+The single-lane cycle walk (:meth:`LogicSimulator.trace_sequence`) runs
 its own single-lane program (multiplexers branch on their select, see
 :func:`repro.faultsim.lowering.gate_expr`) over one working net list,
 rewriting only the input bits and Q nets that changed since that list
@@ -55,7 +55,7 @@ class GoodTrace:
     Attributes:
         lanes: lane configuration of the run.
         values: per cycle, the full net-value row (index = net id).  A
-            single-lane trace (:meth:`LogicSimulator.run_sequence`) holds
+            single-lane trace (:meth:`LogicSimulator.trace_sequence`) holds
             ``bytes`` rows, one 0/1 byte per net; a multi-lane trace
             holds lists of lane words.
         states: per cycle, the DFF state *entering* that cycle; has one
@@ -247,9 +247,8 @@ class LogicSimulator:
     ) -> tuple[list[dict[str, int]], GoodTrace | None]:
         """Single-lane sequential run over a list of per-cycle input values.
 
-        A cycle whose ``(DFF state, input vector)`` pair was already
-        settled reuses that cycle's row and next state (see the module
-        doc); recorded traces alias those rows.
+        The walk is :meth:`trace_sequence`; each cycle's output values
+        are read from its recorded row (once per distinct row).
 
         Args:
             cycle_inputs: per cycle, ``{port: value}``.
@@ -259,12 +258,34 @@ class LogicSimulator:
         Returns:
             ``(per-cycle output values, trace-or-None)``.
         """
+        trace = self.trace_sequence(cycle_inputs)
+        out_nets = tuple(self._output_nets.items())
+        by_row: dict[int, dict[str, int]] = {}  # row identity -> outputs
+        outputs: list[dict[str, int]] = []
+        for row in trace.values:
+            out = by_row.get(id(row))
+            if out is None:
+                out = by_row[id(row)] = {
+                    name: sum(row[net] << j for j, net in enumerate(nets))
+                    for name, nets in out_nets
+                }
+            outputs.append(dict(out))
+        return outputs, trace if record else None
+
+    def trace_sequence(
+        self, cycle_inputs: Sequence[Mapping[str, int]]
+    ) -> GoodTrace:
+        """The single-lane good trace of a per-cycle input sequence.
+
+        A cycle whose ``(DFF state, input vector)`` pair was already
+        settled reuses that cycle's row and next state (see the module
+        doc), so the trace aliases those rows.
+        """
         fns = self._settle_fns(single_lane=True)
         names = tuple(self._input_nets)
         in_nets = tuple(self._input_nets.values())
         q_nets = self._q_nets
         d_nets = tuple(d.d for d in self.netlist.dffs)
-        out_nets = tuple(self._output_nets.items())
 
         lanes = LaneSet(1)
         state = self.initial_state(lanes)
@@ -272,8 +293,7 @@ class LogicSimulator:
         state_key = bytes(state.q)
         states = {state_key: state}
         seen: dict[
-            tuple[bytes, tuple[int, ...]],
-            tuple[bytes, bytes, SimState, dict[str, int]],
+            tuple[bytes, tuple[int, ...]], tuple[bytes, bytes, SimState]
         ] = {}
         # One working net list, settled in place on every miss.  It
         # remembers the sources it was last settled from, so a miss
@@ -284,7 +304,6 @@ class LogicSimulator:
         for net, q in zip(q_nets, state.q, strict=True):
             work[net] = q
         work_key = (state_key, (0,) * len(names))
-        outputs: list[dict[str, int]] = []
         trace_values: list[bytes] = []
         trace_states: list[SimState] = [state]
         for cycle in cycle_inputs:
@@ -311,21 +330,11 @@ class LogicSimulator:
                 next_state = states.get(next_key)
                 if next_state is None:
                     next_state = states[next_key] = SimState(list(next_key))
-                out: dict[str, int] = {}
-                for name, nets in out_nets:
-                    word = 0
-                    for j, net in enumerate(nets):
-                        if work[net]:
-                            word |= 1 << j
-                    out[name] = word
-                hit = seen[key] = (bytes(work), next_key, next_state, out)
-            row, state_key, state, out = hit
-            outputs.append(dict(out))
-            if record:
-                trace_values.append(row)
-                trace_states.append(state)
-        trace = GoodTrace(lanes, trace_values, trace_states) if record else None
-        return outputs, trace
+                hit = seen[key] = (bytes(work), next_key, next_state)
+            row, state_key, state = hit
+            trace_values.append(row)
+            trace_states.append(state)
+        return GoodTrace(lanes, trace_values, trace_states)
 
     def run_parallel_sessions(
         self, sessions: Sequence[Sequence[Mapping[str, int]]]

@@ -8,7 +8,7 @@ stimulus hash, same observability, prune mode and collapse mode — is
 never re-simulated across runs, processes or machines sharing a cache
 directory.
 
-Two record kinds live under the cache root:
+Three record kinds live under the cache root:
 
 * **good traces** (``traces/``) — the fault-free trajectory for one
   ``(netlist, stimulus)`` pair, keyed by the PR 3 structural/stimulus
@@ -17,7 +17,12 @@ Two record kinds live under the cache root:
   one component grade (per-class detections as fixed-width columns and
   the proven set), additionally keyed by the observability
   signature, the prune mode and the collapse and fault-universe epoch
-  tags.
+  tags;
+* **traced programs** (``programs/``) — one self-test program's traced
+  CPU run: the CPU summary and, per component, the stimulus and observe
+  plan (:func:`stimulus_doc`, :func:`plan_doc`), keyed by the loaded
+  memory image and a digest of the package source
+  (:func:`repro.core.campaign.trace_program`).
 
 Robustness properties, each exercised by the failure-mode tests:
 
@@ -47,16 +52,17 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.faultsim.differential import Detection
 from repro.faultsim.faults import FAULT_EPOCH, FaultList
+from repro.faultsim.observe import ObservePlan
 from repro.faultsim.simulator import GoodTrace, SimState
+from repro.utils.bits import MASK32
 from repro.utils.lanes import LaneSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faultsim.harness import CampaignResult
-    from repro.faultsim.observe import ObservePlan
     from repro.netlist.netlist import Netlist
 
 #: Store format epoch — part of every record key.  Bump on any change to
@@ -72,7 +78,10 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 #: of verdict records.
 DEFAULT_MAX_RECORD_BYTES = 64 * 1024 * 1024
 
-_TRACES, _VERDICTS = "traces", "verdicts"
+_T = TypeVar("_T")
+
+_TRACES, _VERDICTS, _PROGRAMS = "traces", "verdicts", "programs"
+_KINDS = (_TRACES, _VERDICTS, _PROGRAMS)
 
 
 @dataclass
@@ -83,6 +92,8 @@ class StoreStats:
     trace_misses: int = 0
     verdict_hits: int = 0
     verdict_misses: int = 0
+    program_hits: int = 0
+    program_misses: int = 0
     saves: int = 0
     evictions: int = 0
     corrupt: int = 0
@@ -91,7 +102,9 @@ class StoreStats:
         return (
             f"traces {self.trace_hits}/{self.trace_hits + self.trace_misses}"
             f" hit, verdicts {self.verdict_hits}/"
-            f"{self.verdict_hits + self.verdict_misses} hit, "
+            f"{self.verdict_hits + self.verdict_misses} hit, programs "
+            f"{self.program_hits}/{self.program_hits + self.program_misses}"
+            f" hit, "
             f"{self.saves} saved, {self.evictions} evicted, "
             f"{self.corrupt} quarantined"
         )
@@ -169,6 +182,16 @@ class TraceStore:
             observe_sig, prune_mode, collapse_epoch, fault_epoch,
         )
 
+    def program_key(self, program: str, source: str) -> str:
+        """Content address of one traced program run.
+
+        ``program`` digests what the CPU loads (memory image and entry
+        point) and ``source`` the package source that traced it, so an
+        edit to any module re-traces instead of replaying a stimulus the
+        edited CPU model might no longer produce.
+        """
+        return _digest("program", STORE_EPOCH, program, source)
+
     # ------------------------------------------------------------ traces
 
     def load_trace(self, key: str) -> GoodTrace | None:
@@ -235,6 +258,31 @@ class TraceStore:
     def save_verdicts(self, key: str, payload: Mapping[str, object]) -> bool:
         """Persist one component verdict payload."""
         return self._save(_VERDICTS, key, dict(payload))
+
+    # ---------------------------------------------------------- programs
+
+    def load_program(self, key: str, decode: Callable[[dict], _T]) -> _T | None:
+        """``decode`` of the stored program record for ``key``, or
+        ``None`` on a miss.
+
+        A record ``decode`` rejects (``KeyError`` / ``TypeError`` /
+        ``ValueError``) is quarantined and counted as a miss.
+        """
+        doc = self._load(_PROGRAMS, key)
+        if doc is not None:
+            try:
+                program = decode(doc)
+            except (KeyError, TypeError, ValueError):
+                self._quarantine(self._path(_PROGRAMS, key))
+            else:
+                self.stats.program_hits += 1
+                return program
+        self.stats.program_misses += 1
+        return None
+
+    def save_program(self, key: str, doc: Mapping[str, object]) -> bool:
+        """Persist one traced program record."""
+        return self._save(_PROGRAMS, key, dict(doc))
 
     # ------------------------------------------------------ record plumbing
 
@@ -325,7 +373,7 @@ class TraceStore:
         entries: list[tuple[float, int, Path]] = []
         total = 0
         root = self.root if isinstance(self.root, Path) else Path(self.root)
-        for kind in (_TRACES, _VERDICTS):
+        for kind in _KINDS:
             base = root / kind
             if not base.is_dir():
                 continue
@@ -355,14 +403,16 @@ class TraceStore:
 
     def record_count(self) -> tuple[int, int]:
         """``(trace records, verdict records)`` currently on disk."""
+        return self._count(_TRACES), self._count(_VERDICTS)
+
+    def program_count(self) -> int:
+        """Traced program records currently on disk."""
+        return self._count(_PROGRAMS)
+
+    def _count(self, kind: str) -> int:
         root = self.root if isinstance(self.root, Path) else Path(self.root)
-        counts = []
-        for kind in (_TRACES, _VERDICTS):
-            base = root / kind
-            counts.append(
-                sum(1 for _ in base.glob("*/*.rec")) if base.is_dir() else 0
-            )
-        return counts[0], counts[1]
+        base = root / kind
+        return sum(1 for _ in base.glob("*/*.rec")) if base.is_dir() else 0
 
 
 # ------------------------------------------------------- trace (de)coding
@@ -601,6 +651,108 @@ def result_from_payload(
     result.collapse_hash = str(payload.get("collapse_hash", ""))
     result.cache_hit = True
     return result
+
+
+# ---------------------------------------------------- program (de)coding
+#
+# A traced stimulus holds thousands of entries per component but, held
+# cycles repeating, only tens to hundreds of distinct input vectors.  A
+# stimulus record keeps the port names, a table of distinct value rows
+# (uint32, row-major) and one row index per entry; an observe plan keeps
+# its distinct normalized entries and one index per entry.  Loading
+# builds one dict per distinct row and one tuple per distinct entry, so
+# equal entries share one object, as ``ObservePlan.from_spec`` shares
+# them.
+
+
+def stimulus_doc(stimulus: Sequence[Mapping[str, int]]) -> dict | None:
+    """Encode one traced stimulus; ``None`` when this form cannot hold it
+    exactly: an entry that is not a ``dict`` with the first entry's keys
+    in its order, or a value that is not a ``uint32`` ``int``."""
+    names = tuple(stimulus[0]) if stimulus else ()
+    rows: dict[tuple[int, ...], int] = {}
+    index = []
+    for entry in stimulus:
+        if type(entry) is not dict or tuple(entry) != names:
+            return None
+        index.append(rows.setdefault(tuple(entry.values()), len(rows)))
+    values = [value for row in rows for value in row]
+    if not all(type(v) is int and 0 <= v <= MASK32 for v in values):
+        return None
+    return {
+        "ports": list(names),
+        "n_rows": len(rows),
+        "rows": _encode(array(_U32, values)),
+        "index": _encode(array(_U32, index)),
+    }
+
+
+def stimulus_from_doc(doc: Mapping[str, object]) -> list[dict[str, int]]:
+    """Decode :func:`stimulus_doc`; equal entries share one dict.
+
+    Raises:
+        KeyError / TypeError / ValueError: a malformed record.
+    """
+    names = doc["ports"]
+    if not (
+        isinstance(names, list) and all(type(n) is str for n in names)
+        and len(set(names)) == len(names)
+    ):
+        raise TypeError("ports must be distinct names")
+    n_rows, width = _int(doc, "n_rows"), len(names)
+    values = _column(doc, "rows", _U32)
+    index = _column(doc, "index", _U32)
+    if len(values) != n_rows * width or max(index, default=-1) >= n_rows:
+        raise ValueError("stimulus columns disagree in length or range")
+    table = [
+        dict(zip(names, values[i:i + width], strict=True))
+        for i in range(0, n_rows * width, width)
+    ] if width else [{} for _ in range(n_rows)]
+    return list(map(table.__getitem__, index))
+
+
+def plan_doc(plan: ObservePlan) -> dict:
+    """Encode one observe plan: ``None`` entries for full observability,
+    else each distinct entry once plus one index per entry."""
+    if plan.entries is None:
+        return {"n_entries": plan.n_entries, "entries": None}
+    table: dict[tuple[tuple[str, int | None], ...], int] = {}
+    index = array(_U32, [
+        table.setdefault(entry, len(table)) for entry in plan.entries
+    ])
+    return {
+        "n_entries": plan.n_entries,
+        "entries": [[list(pair) for pair in entry] for entry in table],
+        "index": _encode(index),
+    }
+
+
+def _observed(pair: object) -> tuple[str, int | None]:
+    name, mask = pair  # type: ignore[misc]
+    if type(name) is not str or not (
+        mask is None or (type(mask) is int and mask >= 0)
+    ):
+        raise TypeError("an observe entry is (name, mask or null)")
+    return name, mask
+
+
+def plan_from_doc(doc: Mapping[str, object]) -> ObservePlan:
+    """Decode :func:`plan_doc`; equal entries share one tuple.
+
+    Raises:
+        KeyError / TypeError / ValueError: a malformed record.
+    """
+    n_entries = _int(doc, "n_entries")
+    raw = doc["entries"]
+    if raw is None:
+        return ObservePlan.everything(n_entries)
+    if not isinstance(raw, list):
+        raise TypeError("entries must be a list")
+    table = [tuple(map(_observed, entry)) for entry in raw]
+    index = _column(doc, "index", _U32)
+    if len(index) != n_entries or max(index, default=-1) >= len(table):
+        raise ValueError("observe columns disagree in length or range")
+    return ObservePlan(n_entries, tuple(map(table.__getitem__, index)))
 
 
 def verdict_key_for(

@@ -222,9 +222,7 @@ def good_trace_for(
         sim = LogicSimulator(netlist)
         if packed:
             return sim.run_parallel_sessions([[dict(p)] for p in stimulus])
-        _, trace = sim.run_sequence(stimulus, record=True)
-        assert trace is not None
-        return trace
+        return sim.trace_sequence(stimulus)
 
     trace = cache.get_or_build(key, build)
     if store is not None and (

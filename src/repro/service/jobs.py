@@ -539,7 +539,8 @@ class CampaignService:
             ),
             "jobs": dict(self.counters),
             "tenants": tenants,
-            # Process-wide: CPU runs vs. traced runs reused from memory.
+            # Process-wide: CPU runs, traced runs loaded from the store
+            # and traced runs reused from memory.
             "programs": program_trace_memo().counts(),
             "store": None,
         }
@@ -552,6 +553,8 @@ class CampaignService:
                 "verdict_misses": stats.verdict_misses,
                 "trace_hits": stats.trace_hits,
                 "trace_misses": stats.trace_misses,
+                "program_hits": stats.program_hits,
+                "program_misses": stats.program_misses,
                 "saves": stats.saves,
                 "evictions": stats.evictions,
                 "quarantined": stats.corrupt,

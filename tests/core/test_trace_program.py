@@ -110,7 +110,7 @@ class TestOneRunPerProgram:
         assert first.table5() == second.table5()
         assert _verdicts(first) == _verdicts(second)
         assert second.cpu_result is first.cpu_result
-        assert program_trace_memo().counts() == {"traced": 1, "reused": 1}
+        assert program_trace_memo().counts() == {"traced": 1, "loaded": 0, "reused": 1}
 
     def test_returns_the_same_objects(self, cpu_runs):
         first = trace_program(_phase_a())
@@ -200,7 +200,7 @@ class TestConcurrency:
             thread.join(30)
         assert len(cpu_runs) == 1
         assert len(results) == 2 and results[0] is results[1]
-        assert program_trace_memo().counts() == {"traced": 1, "reused": 1}
+        assert program_trace_memo().counts() == {"traced": 1, "loaded": 0, "reused": 1}
 
     def test_a_failed_run_stores_nothing(self, cpu_runs, monkeypatch):
         counting_run = PlasmaCPU.run
@@ -218,7 +218,7 @@ class TestConcurrency:
         trace_program(program)
         trace_program(program)
         assert len(cpu_runs) == 1
-        assert program_trace_memo().counts() == {"traced": 1, "reused": 1}
+        assert program_trace_memo().counts() == {"traced": 1, "loaded": 0, "reused": 1}
 
 
 class TestPlansBuiltOnce:

@@ -259,6 +259,28 @@ class TestCompiledKernel:
         assert outputs == expected_outputs
 
     @pytest.mark.parametrize("index", range(6))
+    def test_trace_sequence_is_the_recorded_walk(self, index):
+        netlist = _circuits()[index]
+        cycles = _held_stimulus(random.Random(index), 40, _widths(netlist))
+        sim = LogicSimulator(netlist)
+        trace = sim.trace_sequence(cycles)
+        outputs, recorded = sim.run_sequence(cycles, record=True)
+        values, states, expected_outputs = _naive_run(netlist, cycles)
+        assert recorded is not None
+        assert [list(row) for row in trace.values] == values
+        assert [s.q for s in trace.states] == states
+        assert outputs == expected_outputs
+        assert sim.run_sequence(cycles) == (expected_outputs, None)
+
+        def aliasing(rows):
+            first = {}
+            return [first.setdefault(id(row), t) for t, row in enumerate(rows)]
+
+        assert aliasing(trace.values) == aliasing(recorded.values)
+        assert aliasing(trace.states) == aliasing(recorded.states)
+        assert len(set(aliasing(trace.values))) < len(cycles)
+
+    @pytest.mark.parametrize("index", range(6))
     def test_parallel_sessions_match_single_lanes(self, index):
         netlist = _circuits()[index]
         rng = random.Random(index)

@@ -257,6 +257,10 @@ class TestLruCap:
         summary = stats.summary()
         assert "saved" in summary and "quarantined" in summary
 
+    def test_stats_summary_counts_programs(self):
+        stats = StoreStats(program_hits=1, program_misses=2)
+        assert "programs 1/3 hit" in stats.summary()
+
 
 class TestCampaignIntegration:
     def test_repeat_campaign_reuses_every_component(self, tmp_path):

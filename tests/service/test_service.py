@@ -21,6 +21,7 @@ import pytest
 from repro.core.campaign import grade_program, program_trace_memo
 from repro.core.methodology import SelfTestMethodology
 from repro.faultsim.observe import ObservePlan
+from repro.faultsim.store import TraceStore
 from repro.plasma.cpu import PlasmaCPU
 from repro.reporting.tables import coverage_tables_json
 from repro.service import ServiceConfig, ServiceServer
@@ -176,7 +177,7 @@ class TestProgramTraces:
                 final = wait_terminal(port, payload["id"])
                 assert final["state"] == "done", final.get("error")
             _, _, stats = request(port, "GET", "/v1/stats")
-        assert stats["programs"] == {"traced": 1, "reused": 1}
+        assert stats["programs"] == {"traced": 1, "loaded": 0, "reused": 1}
         assert len(cpu_runs) == 1
 
     def test_second_subset_builds_no_observe_plan(
@@ -221,8 +222,53 @@ class TestProgramTraces:
                 final = wait_terminal(port, job_id)
                 assert final["state"] == "done", final.get("error")
             _, _, stats = request(port, "GET", "/v1/stats")
-        assert stats["programs"] == {"traced": 1, "reused": 1}
+        assert stats["programs"] == {"traced": 1, "loaded": 0, "reused": 1}
         assert len(cpu_runs) == 1
+
+    def test_concurrent_first_submissions_save_one_record(
+        self, cpu_runs, tmp_path, monkeypatch
+    ):
+        saves = []
+        real_save = TraceStore.save_program
+
+        def counting_save(self, key, doc):
+            saves.append(key)
+            return real_save(self, key, doc)
+
+        monkeypatch.setattr(TraceStore, "save_program", counting_save)
+        with running_server(workers=2, cache_dir=tmp_path) as port:
+            ids = [
+                request(
+                    port, "POST", "/v1/campaigns",
+                    {"phases": "A", "components": components},
+                )[2]["id"]
+                for components in (["CTRL"], ["BMUX"])
+            ]
+            for job_id in ids:
+                final = wait_terminal(port, job_id)
+                assert final["state"] == "done", final.get("error")
+            _, _, stats = request(port, "GET", "/v1/stats")
+        assert stats["programs"] == {"traced": 1, "loaded": 0, "reused": 1}
+        assert len(cpu_runs) == 1
+        assert len(saves) == 1
+        assert TraceStore(tmp_path).program_count() == 1
+        assert stats["store"]["program_misses"] == 1
+
+    def test_a_restarted_service_loads_the_program(self, cpu_runs, tmp_path):
+        for _ in range(2):
+            program_trace_memo().clear()
+            with running_server(workers=1, cache_dir=tmp_path) as port:
+                _, _, payload = request(
+                    port, "POST", "/v1/campaigns",
+                    {"phases": "A", "components": ["CTRL"]},
+                )
+                final = wait_terminal(port, payload["id"])
+                assert final["state"] == "done", final.get("error")
+                _, _, stats = request(port, "GET", "/v1/stats")
+        assert len(cpu_runs) == 1
+        assert stats["programs"] == {"traced": 0, "loaded": 1, "reused": 0}
+        assert stats["store"]["program_hits"] == 1
+        assert final["cache_hit"] is True
 
 
 class TestAdmissionControl:
@@ -405,4 +451,4 @@ class TestFailurePaths:
             assert stats["workers"] == 0
             assert stats["store"]["root"] == str(tmp_path)
             assert stats["store"]["hit_rate"] == 0.0
-            assert set(stats["programs"]) == {"traced", "reused"}
+            assert set(stats["programs"]) == {"traced", "loaded", "reused"}

@@ -14,6 +14,7 @@ from repro.cli import (
     EXIT_WATCHDOG,
     main,
 )
+from repro.core.campaign import program_trace_memo
 from repro.faultsim.engine import prune_set
 from repro.faultsim.faults import build_fault_list
 from repro.plasma.components import component
@@ -201,12 +202,16 @@ class TestCampaign:
         cache = str(tmp_path / "cache")
         args = ["campaign", "--phases", "A", "--components", "CTRL,BSH",
                 "--cache-dir", cache]
+        program_trace_memo().clear()
         assert main(args) == 0
         cold = capsys.readouterr().out
         assert "persistent cache: 0/2 components reused" in cold
+        assert "traced program run on the CPU" in cold
+        program_trace_memo().clear()  # as a second process starts
         assert main(args) == 0
         warm = capsys.readouterr().out
         assert "persistent cache: 2/2 components reused" in warm
+        assert "traced program loaded from the store" in warm
         assert warm.count("store hit") == 2
 
         def table5(text):
@@ -214,7 +219,7 @@ class TestCampaign:
             # line itself; the tables must be bit-identical between the
             # cold and warm runs.
             text = re.sub(r"\d+\.\d+s[^)]*\)", ")", text)
-            return re.sub(r"persistent cache: \d+", "persistent cache:",
+            return re.sub(r"persistent cache: .*", "persistent cache:",
                           text)
 
         assert table5(cold) == table5(warm)
