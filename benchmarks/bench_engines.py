@@ -5,16 +5,18 @@ identical verdict semantics:
 
 * **differential** — per fault, event-driven against stored good values,
   with dropping: the independent reference oracle;
-* **packed** — fault classes packed into the lane groups of one big-int
-  word next to the good machine, graded through generated level kernels:
-  the fast path.
+* **packed** — fault classes packed into the lanes of one big-int word,
+  graded through generated kernels: level kernels next to the good
+  machine for combinational parts, one fan-out-cone kernel per batch
+  against the good trace for sequential ones.  The fast path.
 
 This bench grades the same components with the same traced stimulus and
-observability through both, asserts fault-by-fault agreement, checks
-that cache-warm re-grades are bit-identical to cache-cold ones, and
-reports throughput plus good-trace cache hit rates.  Agreement between
-engines with disjoint implementations is strong evidence neither
-mis-simulates.
+observability through both, asserts fault-by-fault agreement (for the
+sequential components GL and PCL, over the whole universe, including
+the first detecting cycle and the witness lanes), checks that
+cache-warm re-grades are bit-identical to cache-cold ones, and reports
+throughput plus good-trace cache hit rates.  Agreement between engines
+with disjoint implementations is strong evidence neither mis-simulates.
 
 Runs two ways:
 
@@ -22,8 +24,8 @@ Runs two ways:
   standalone; exit code 1 on any agreement or throughput failure.
   ``--quick`` (the CI gate) requires the packed engine to beat the
   differential engine cache-cold; the full run also requires the packed
-  engine to be >= 3x the differential engine on ALU and BSH at steady
-  state (cache-warm — trace build and lowering are one-time costs the
+  engine to be >= 3x the differential engine on every component at
+  steady state (cache-warm — trace build and lowering are one-time costs the
   good-trace and program caches amortize away; the cache-cold time is
   still reported).
 * via the tier-2 pytest-benchmark suite (full mode).
@@ -41,9 +43,9 @@ from repro.faultsim.lowering import clear_program_cache
 from repro.faultsim.trace_cache import global_trace_cache
 from repro.plasma.components import build_component
 
-#: Components the throughput gate runs on (deep combinational cones —
-#: the packed engine's home turf under ``engine="auto"``).
-GATE_COMPONENTS = ("ALU", "BSH")
+#: Components the gates run on: deep combinational cones and two
+#: sequential parts that grade their whole universe in under a second.
+GATE_COMPONENTS = ("ALU", "BSH", "GL", "PCL")
 
 #: Full-mode throughput floor: packed (cache-warm) vs differential.
 FULL_SPEEDUP_FLOOR = 3.0
@@ -53,8 +55,15 @@ def traced_specs():
     return trace_program(SelfTestMethodology().build_program("A"))[1]
 
 
-def _verdicts(result):
-    """Engine-invariant verdict map: rep -> (detected, excited)."""
+def _verdicts(result, sequential):
+    """Engine-invariant verdict map: rep -> (detected, excited), plus
+    the first detecting cycle and the witness lanes when sequential (a
+    single-lane stimulus has one witness)."""
+    if sequential:
+        return {
+            rep: (det.detected, det.excited, det.cycle, det.lanes)
+            for rep, det in result.detections.items()
+        }
     return {
         rep: (det.detected, det.excited)
         for rep, det in result.detections.items()
@@ -102,7 +111,7 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
 
     lines.append(
         f"{name}: {n_faults:,} fault classes, "
-        f"{len(patterns):,} patterns"
+        f"{len(patterns):,} {'cycles' if netlist.dffs else 'patterns'}"
     )
     rows = [
         ("differential", differential.n_detected, diff_seconds, diff_rate),
@@ -127,10 +136,14 @@ def _bench_component(name, patterns, observe, quick, lines, failures):
     )
 
     # --- agreement gates -------------------------------------------------
-    want = _verdicts(differential)
-    if _verdicts(cold) != want:
+    sequential = bool(netlist.dffs)
+    want = _verdicts(differential, sequential)
+    if _verdicts(cold, sequential) != want:
         failures.append(f"{name}: packed (cold) disagrees with differential")
-    if _verdicts(warm) != want or warm.detected != cold.detected:
+    if (
+        _verdicts(warm, sequential) != want
+        or warm.detected != cold.detected
+    ):
         failures.append(f"{name}: cache-warm grade differs from cache-cold")
     if cold.fault_coverage != differential.fault_coverage:
         failures.append(f"{name}: FC differs between engines")

@@ -1,7 +1,9 @@
 """Gate G2 — packed fault-parallel grading and the persistent store.
 
-The ``packed`` engine rides up to ``lanes - 1`` fault classes per big-int
-word next to the good machine; the persistent :class:`TraceStore` makes
+The ``packed`` engine rides many fault classes per big-int word (up to
+``lanes - 1`` next to the good machine on combinational parts, batches
+of at least 255 over their fan-out cone on sequential ones); the
+persistent :class:`TraceStore` makes
 repeat campaigns incremental.  Neither is allowed to change a single
 verdict.  This bench grades real traced components and enforces:
 
@@ -16,9 +18,10 @@ verdict.  This bench grades real traced components and enforces:
   component's lone replay time goes into the artifact;
 * **steady-state throughput (soft gate)** — cache-warm packed grading
   should be >= 4x the differential engine.  The deep combinational
-  cones (ALU, BSH) clear it; on shallow or sequential components the
-  differential engine's per-fault early exits keep it close to (or
-  ahead of) packed, which is why ``engine="auto"`` picks it there.
+  cones (ALU, BSH) and the sequential MCTRL clear it.  On shallow
+  combinational parts the differential engine's per-fault early exits
+  keep it close to (or ahead of) packed, which is why ``engine="auto"``
+  picks it there; the shallow sequential PLN lands in between.
   Components below the floor are reported as SKIP with the measured
   speedup rather than pretending to pass.
 
@@ -59,8 +62,9 @@ LANES = 64
 #: Quick mode: components that grade in a few seconds each.
 QUICK_COMPONENTS = ("CTRL", "BSH")
 
-#: Full mode: the deep combinational cones (where packing pays) plus
-#: shallow and sequential components (where parity is the claim).
+#: Full mode: the deep combinational cones and a sequential part
+#: (where packing pays) plus the shallow parts (where parity is the
+#: claim).
 FULL_COMPONENTS = ("ALU", "BSH", "CTRL", "BMUX", "PLN", "MCTRL")
 
 #: Warm-store campaign subset (kept small — the gate is about replay

@@ -559,9 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--engine", choices=engine_choices, default="auto",
                      help="fault-sim engine (default: auto — packed for "
                           "deep combinational components and for "
-                          "sequential ones whose stimulus is at least "
-                          "90%% held cycles, such as MulD; differential "
-                          "otherwise)")
+                          "sequential grades with at least as many "
+                          "classes as gates times the share of moving "
+                          "cycles, such as every whole phase-A universe; "
+                          "differential otherwise)")
     p_c.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="parallel grading workers; each component's "
                           "fault universe is sharded over a persistent "
@@ -582,10 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--lanes", type=int, default=None, metavar="N",
                      help="lane groups per packed-engine word, 2-1024 "
                           "(default 64 = good machine + 63 fault "
-                          "classes); only meaningful where the packed "
-                          "engine grades (--engine packed, or auto on "
-                          "deep combinational components and mostly "
-                          "held sequential ones)")
+                          "classes; a sequential word holds at least "
+                          "255 classes); only meaningful where the "
+                          "packed engine grades (--engine packed, or "
+                          "auto on deep combinational components and "
+                          "dense sequential grades)")
     p_c.set_defaults(func=_cmd_campaign)
 
     p_inv = sub.add_parser("inventory", help="print Tables 2 and 3")

@@ -18,10 +18,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
-from itertools import pairwise
 
 from repro.faultsim.faults import Fault, FaultKind
-from repro.faultsim.held import segment_ends
+from repro.faultsim.held import held_rows, segment_ends
 from repro.faultsim.simulator import GoodTrace, LogicSimulator
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Gate, Netlist, PortDirection
@@ -297,17 +296,14 @@ class DifferentialFaultSimulator:
     ) -> tuple[list[bool], list[int]]:
         """Held flags and segment ends of one (trace, observe) pair.
 
-        A cycle counts as held when its good row is the previous
-        cycle's row object: the simulator and the store share one row
-        per distinct ``(state, inputs)`` pair, so an aliased row means
-        the good machine repeats the previous cycle.  Memoized on the
-        last pair, since a grade walks every fault over the same one.
+        Held cycles come from row aliasing (:func:`held_rows`).
+        Memoized on the last pair, since a grade walks every fault over
+        the same one.
         """
         memo = self._segment_memo
         if memo is not None and memo[0] is trace and memo[1] is observe_nets:
             return memo[2], memo[3]
-        rows = trace.values
-        held = [False, *(a is b for a, b in pairwise(rows))][: len(rows)]
+        held = held_rows(trace.values)
         ends = segment_ends(held, observe_nets)
         self._segment_memo = (trace, observe_nets, held, ends)
         return held, ends

@@ -6,11 +6,11 @@ Two interchangeable engines grade a fault universe against a stimulus:
   the recorded good trace (:mod:`repro.faultsim.differential`).  The
   independent reference oracle; it also wins when most faults drop
   quickly or never excite (sequential traces, shallow circuits).
-* ``packed`` — fault-parallel bit-packed grading through generated level
+* ``packed`` — fault-parallel bit-packed grading through generated
   kernels (:mod:`repro.faultsim.packed`): a group of fault classes rides
-  one big-int word next to the good machine.  The fast path for deep
-  combinational cones and for sequential stimulus that holds its inputs
-  for long runs.
+  one big-int word.  The fast path for deep combinational cones and for
+  sequential grades whose classes are dense against the logic their
+  stimulus moves (one fan-out-cone kernel per batch).
 
 Both implement the :class:`FaultSimEngine` protocol; ``engine="auto"``
 picks per netlist and stimulus (:func:`default_engine_name`), and
@@ -21,9 +21,12 @@ behind both :func:`grade` and the campaign's shards.
 
 Detection verdicts — the ``detected`` flag, the ``excited`` flag and (for
 sequential stimulus) the first detecting cycle — are engine-invariant and
-cross-checked by the equivalence test-suite.  ``Detection.lanes`` is a
-*partial witness* (at least one detecting lane), not an exhaustive lane
-set: engines that short-circuit or drop faults may report fewer lanes.
+cross-checked by the equivalence test-suite.  On a combinational
+(pattern-parallel) grade ``Detection.lanes`` is a *partial witness* (at
+least one detecting lane), not an exhaustive lane set: engines that
+short-circuit or drop faults may report fewer lanes.  A sequential
+stimulus has a single lane, so every sequential detection reports
+``lanes=1``.
 
 Structural collapsing (``grade(collapse=...)``) adds one caveat: a
 dominator verdict inferred from a detected child reuses the child's
@@ -63,12 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see PreparedGrade)
     from repro.analysis.collapse import CollapseMap
 
 __all__ = [
+    "AUTO_MIN_CLASSES_PER_MOVING_GATE",
     "AUTO_MIN_DEPTH",
-    "AUTO_MIN_HELD_SHARE",
     "DifferentialEngine",
     "FaultSimEngine",
     "GradeOptions",
     "PreparedGrade",
+    "auto_choice",
     "default_engine_name",
     "engine_names",
     "get_engine",
@@ -130,8 +134,7 @@ def _excited_packed(fault: Fault, trace: GoodTrace) -> bool:
 
 
 def _excited_sequence(fault: Fault, trace: GoodTrace) -> bool:
-    site, forced = fault.net, fault.stuck
-    return any(values[site] != forced for values in trace.values)
+    return trace.ever(fault.net, 1 - fault.stuck)
 
 
 def _excited(fault: Fault, trace: GoodTrace, packed: bool) -> bool:
@@ -214,13 +217,17 @@ _ENGINE_NAMES = ("differential", "packed")
 #: evaluation loses to the differential engine's per-fault early exits.
 AUTO_MIN_DEPTH = 6
 
-#: "auto" sends a sequential circuit to the packed engine when at least
-#: this share of its stimulus cycles are held (repeat the previous input
-#: vector): the packed walk then skips whole held runs for every fault
-#: lane at once.  Measured on phase A, only MulD (98%) qualifies; RegF
-#: (0%), PLN (24%), MCTRL (48%), PCL (50%) and GL (50%) grade faster on
-#: the differential engine.
-AUTO_MIN_HELD_SHARE = 0.9
+#: "auto" sends a sequential grade to the packed engine when the classes
+#: it simulates number at least this many times the netlist's gates
+#: times the share of moving (not held) stimulus cycles.  The packed
+#: walk compiles one cone kernel per batch of classes and then walks
+#: only the moving cycles that some lane is active in, so it pays once
+#: the classes are dense against the logic they exercise.  On phase A
+#: every full-universe grade clears the bar by 9x or more (RegF: 21,056
+#: classes against 3,043 gates, all moving); of the benchmark's sampled
+#: grades only MulD's does (147 against 1,163 gates, 2% moving), and
+#: sparse ones such as RegF's (576 classes) stay differential.
+AUTO_MIN_CLASSES_PER_MOVING_GATE = 1.0
 
 
 def engine_names() -> tuple[str, ...]:
@@ -243,40 +250,66 @@ def get_engine(name: str, lanes: int = DEFAULT_LANES) -> FaultSimEngine:
     raise FaultSimError(f"unknown engine {name!r} (choose from {known})")
 
 
-def default_engine_name(
-    netlist: Netlist, stimulus: Stimulus | None = None
-) -> str:
-    """The engine ``"auto"`` resolves to for one netlist and stimulus.
+def auto_choice(
+    netlist: Netlist,
+    stimulus: Stimulus | None = None,
+    n_classes: int | None = None,
+) -> tuple[str, str]:
+    """The engine ``"auto"`` picks, and the inputs of its rule as text.
 
     Combinational: deep cones go to the packed engine, very shallow
     ones to the differential engine (per-fault early exits dominate).
-    Sequential: the packed engine when at least
-    :data:`AUTO_MIN_HELD_SHARE` of the stimulus cycles are held, else
-    the differential engine (also when no stimulus is given).
+    Sequential: the packed engine when ``n_classes`` (default: the
+    canonical universe's) reaches :data:`AUTO_MIN_CLASSES_PER_MOVING_GATE`
+    times the gates times the share of stimulus cycles that are not
+    held, else the differential engine (also when no stimulus is given).
     """
-    if netlist.dffs:
-        if stimulus is not None and held_share(stimulus) >= AUTO_MIN_HELD_SHARE:
-            return "packed"
-        return "differential"
-    if depth(netlist) < AUTO_MIN_DEPTH:
-        return "differential"
-    return "packed"
+    if not netlist.dffs:
+        d = depth(netlist)
+        if d < AUTO_MIN_DEPTH:
+            return "differential", f"depth {d} < {AUTO_MIN_DEPTH}"
+        return "packed", f"depth {d} ≥ {AUTO_MIN_DEPTH}"
+    if stimulus is None:
+        return "differential", "no stimulus"
+    if n_classes is None:
+        n_classes = build_fault_list(netlist).n_collapsed
+    gates = len(netlist.gates)
+    moving = 1.0 - held_share(stimulus)
+    k = AUTO_MIN_CLASSES_PER_MOVING_GATE
+    dense = n_classes >= k * gates * moving
+    relation = "≥" if dense else "<"
+    factor = "" if k == 1 else f"{k:g} × "
+    rule = (
+        f"{n_classes:,} classes {relation} {factor}{gates:,} gates "
+        f"× {moving:.0%} moving"
+    )
+    return ("packed" if dense else "differential"), rule
+
+
+def default_engine_name(
+    netlist: Netlist,
+    stimulus: Stimulus | None = None,
+    n_classes: int | None = None,
+) -> str:
+    """The engine ``"auto"`` resolves to (see :func:`auto_choice`)."""
+    return auto_choice(netlist, stimulus, n_classes)[0]
 
 
 def resolve_engine(
     netlist: Netlist,
     options: GradeOptions,
     stimulus: Stimulus | None = None,
+    n_classes: int | None = None,
 ) -> FaultSimEngine:
     """The engine ``options`` select for ``netlist``, ready to grade.
 
-    Resolves ``"auto"`` per netlist and stimulus
+    Resolves ``"auto"`` per netlist, stimulus and simulated class count
     (:func:`default_engine_name`) and hands the packed engine its lane
     count.  :class:`PreparedGrade` builds every grade's engine here.
     """
     name = options.engine
     if name == "auto":
-        name = default_engine_name(netlist, stimulus)
+        name = default_engine_name(netlist, stimulus, n_classes)
     return get_engine(name, lanes=options.lanes)
 
 
@@ -490,8 +523,30 @@ class PreparedGrade:
         return cmap
 
     @cached_property
+    def n_units(self) -> int:
+        """The classes this grade simulates, which ``"auto"`` weighs:
+        the whole universe, or the units of the options' subset.  Every
+        slice of one grade therefore picks the same engine."""
+        subset = self.options.subset
+        if subset is None:
+            return len(self.universe)
+        cmap = self.cmap
+        if cmap is not None:
+            return len({cmap.super_of[r] for r in subset if r in cmap.super_of})
+        return len(_graded_reps(self.fault_list, subset))
+
+    @cached_property
     def engine(self) -> FaultSimEngine:
-        return resolve_engine(self.netlist, self.options, self.stimulus)
+        return resolve_engine(
+            self.netlist, self.options, self.stimulus, self.n_units
+        )
+
+    @property
+    def engine_reason(self) -> str:
+        """Why ``"auto"`` picked :attr:`engine` (empty for a named one)."""
+        if self.options.engine != "auto":
+            return ""
+        return auto_choice(self.netlist, self.stimulus, self.n_units)[1]
 
     @cached_property
     def proven(self) -> frozenset[int]:

@@ -11,15 +11,27 @@ one input vector and one observe entry.  A segment that starts with only
 a new observe entry re-runs the detection check on the cached values
 and nothing else.
 
-:func:`held_share` is also what ``engine="auto"`` reads to choose an
-engine for a sequential netlist (see
-:func:`repro.faultsim.engine.default_engine_name`).
+The walks read held cycles off the good trace (:func:`held_rows`): a
+cycle whose good row is the previous cycle's row object repeats the
+good machine's state and inputs.  :func:`held_share` counts held input
+vectors instead; ``engine="auto"`` reads it before any trace exists
+(see :func:`repro.faultsim.engine.default_engine_name`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from itertools import pairwise
+
+
+def held_rows(rows: Sequence[object]) -> list[bool]:
+    """Per cycle, True when its good row is the previous cycle's object.
+
+    The simulator and the store share one row per distinct ``(state,
+    inputs)`` pair, so an aliased row means the good machine repeats the
+    previous cycle exactly.
+    """
+    return [False, *(a is b for a, b in pairwise(rows))][: len(rows)]
 
 
 def held_cycles(stimulus: Sequence[Mapping[str, int]]) -> list[bool]:

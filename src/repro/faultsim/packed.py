@@ -1,12 +1,14 @@
 """Fault-parallel bit-packed grading: the ``packed`` engine.
 
-The classic parallel-fault trick over generated level kernels
-(:func:`repro.faultsim.lowering.compile_seq`): up to ``lanes - 1`` fault
-classes are packed into one Python big-int next to the good machine, so
-each kernel evaluation serves a whole group of faults at once and the
-per-gate interpreter overhead is amortized across the group.  Combinational
-words are additionally *pattern*-parallel — every fault group carries a
-whole chunk of patterns.
+The classic parallel-fault trick over generated kernels: a group of
+fault classes is packed into one Python big-int, so each kernel
+evaluation serves the whole group at once and the per-gate interpreter
+overhead is amortized across it.  Combinational words carry up to
+``lanes - 1`` fault groups next to the good machine and are additionally
+*pattern*-parallel — every fault group carries a whole chunk of patterns
+(level kernels of :func:`repro.faultsim.lowering.compile_seq`).
+Sequential words carry one fault per lane and no good machine (see
+below).
 
 Data layout (combinational).  One word carries ``G`` *lane groups* of
 ``W`` pattern lanes each — group 0 is the good machine, group ``i >= 1``
@@ -34,22 +36,32 @@ members of one cone land in the same word and one kernel evaluation
 serves the whole super-class group.  Verdicts are order-independent, so
 this is purely a locality win.
 
-Sequential netlists run a batched cycle walk with the good machine
-packed into lane 0 — the detection reference is read out of the word
-itself instead of the recorded trace.  Detected faults leave the live
-mask at once, and the batch is repacked onto fewer lanes when occupancy
+Sequential netlists run one cone walk per batch of at least 255 classes
+(after PROOFS: Niermann, Cheng & Patel, IEEE TCAD 1992).  The batch's
+fan-out cone — closed over gates and through DFFs, cut to logic that can
+reach an observed net — is lowered to one generated function
+(:class:`repro.faultsim.lowering.ConeLowering`).  It evaluates only the
+cone's gates; every other net is read from the recorded good trace, so
+good side inputs become branches.  Stem, pin and D-pin faults are
+applied inline through per-slot set and keep masks.  The state is kept
+as the lanes in which each cone DFF differs from the good machine.  The
+walk skips two kinds of cycle: a held cycle (its good row aliases the
+previous one) entered with the previous cycle's state repeats that
+cycle, so the walk jumps to the end of its segment and only re-checks
+detection where the observe entry changes (:mod:`repro.faultsim.held`);
+and a dormant cycle, entered with no lane's state differing while no
+live lane's fault site is excited, leaves every lane on the good
+machine.  A detected lane stops injecting at once and falls back to the
+good machine; the batch is repacked onto fewer lanes when occupancy
 falls below ``repack_threshold`` (smaller words make every big-int op
-cheaper); an emptied batch exits the cycle walk early.  A held cycle
-(same inputs as the cycle before) entered with the previous cycle's
-state in every lane repeats that cycle exactly, so the walk jumps to
-the end of its held run and only re-checks detection where the observe
-entry changes (:mod:`repro.faultsim.held`).
+cheaper), and an emptied batch exits the cycle walk early.
 
 Verdicts are bit-identical to the ``differential`` reference engine (the
 cross-engine equivalence suite and ``benchmarks/bench_packed.py`` gate
-this): ``detected``, ``excited`` and the first detecting cycle agree;
-``Detection.lanes`` remains a partial witness as documented in
-:mod:`repro.faultsim.engine`.
+this): ``detected``, ``excited`` and the first detecting cycle agree,
+and on sequential netlists so does ``Detection.lanes`` (one stimulus
+lane, one witness).  On combinational netlists ``lanes`` remains a
+partial witness as documented in :mod:`repro.faultsim.engine`.
 """
 
 from __future__ import annotations
@@ -59,18 +71,18 @@ from collections.abc import Callable, Iterable, Sequence
 from repro.errors import FaultSimError
 from repro.faultsim.differential import Detection
 from repro.faultsim.engine import Stimulus, _excited_sequence
-from repro.faultsim.faults import FaultKind, FaultList
+from repro.faultsim.faults import Fault, FaultKind, FaultList
 from repro.faultsim.harness import CampaignResult
-from repro.faultsim.held import held_cycles, segment_ends
-from repro.faultsim.lowering import CompiledSeq, cached_compile_seq
+from repro.faultsim.held import held_rows, segment_ends
+from repro.faultsim.lowering import ConeLowering, Site, cached_compile_seq
 from repro.faultsim.observe import ObservePlan
 from repro.faultsim.options import DEFAULT_LANES
+from repro.faultsim.simulator import GoodTrace
 from repro.faultsim.trace_cache import good_trace_for
 from repro.netlist.gates import eval_gate
 from repro.netlist.netlist import (
     CONST0,
     CONST1,
-    DFF,
     Gate,
     Netlist,
     PortDirection,
@@ -131,54 +143,8 @@ def _output_nets(netlist: Netlist) -> tuple[int, ...]:
     )
 
 
-def _observed(
-    values: Sequence[int], obs_nets: Sequence[int], mask: int, live: int
-) -> int:
-    """Live fault lanes whose value differs from lane 0 on an observed net.
-
-    Lane 0 carries the good value: its bit is replicated as the
-    reference instead of reading the recorded trace.
-    """
-    diff = 0
-    for net in obs_nets:
-        word = values[net]
-        diff |= (word ^ (mask if word & 1 else 0)) & live
-        if diff == live:
-            break
-    return diff
-
-
-def _convict(
-    diff: int,
-    cycle: int,
-    lane_reps: Sequence[int | None],
-    detections: dict[int, Detection],
-    detected: set[int],
-) -> None:
-    """Record a detection at ``cycle`` for every lane set in ``diff``."""
-    while diff:
-        bit = diff & -diff
-        diff ^= bit
-        rep = lane_reps[bit.bit_length() - 1]
-        assert rep is not None
-        detections[rep] = Detection(True, cycle, bit, excited=True)
-        detected.add(rep)
-
-
-def _repack_word(survivors: list[int]) -> Callable[[int], int]:
-    """Compaction closure: move surviving lanes down to a dense prefix."""
-
-    def repack(word: int) -> int:
-        out = 0
-        for new_lane, old_lane in enumerate(survivors):
-            out |= ((word >> old_lane) & 1) << new_lane
-        return out
-
-    return repack
-
-
 class PackedEngine:
-    """Fault-parallel bit-packed grading over generated level kernels."""
+    """Fault-parallel bit-packed grading over generated kernels."""
 
     name = "packed"
 
@@ -487,234 +453,274 @@ class PackedEngine:
         result: CampaignResult,
         reps: Sequence[int],
     ) -> None:
-        dffs = netlist.dffs
-        n_nets = netlist.n_nets
-
-        all_obs = _output_nets(netlist)
-        obs_per_cycle: list[tuple[int, ...]] | None = None
-        net_masks = plan.net_masks(netlist, 1)
-        if net_masks is not None:
-            # Identical observe entries share one dict (and so one
-            # tuple), which the segment pass compares by identity.
-            as_tuple: dict[int, tuple[int, ...]] = {}
-            obs_per_cycle = []
-            for nets in net_masks:
-                nets_tuple = as_tuple.get(id(nets))
-                if nets_tuple is None:
-                    nets_tuple = as_tuple[id(nets)] = tuple(nets)
-                obs_per_cycle.append(nets_tuple)
-        held = held_cycles(cycles)
-        ends = segment_ends(held, obs_per_cycle)
-        roots = set(all_obs if obs_per_cycle is None else
-                    (n for nets in obs_per_cycle for n in nets))
-        roots.update(d.d for d in dffs)
-        prog = cached_compile_seq(netlist, sorted(roots))
-
-        input_ports = [
-            (p.name, p.nets)
-            for p in netlist.ports.values()
-            if p.direction is PortDirection.INPUT
-        ]
-        detections = result.detections
-        detected = result.detected
-
+        trace = good_trace_for(netlist, cycles, packed=False)
+        walk = _SeqWalk(netlist, trace, plan, result)
+        lanes = []
+        for rep in reps:
+            fault = fault_list.fault(rep)
+            if walk.lowering.reaches(_site(fault)):
+                lanes.append((rep, fault))
         # Sequential words carry no pattern lanes, so narrow words would
         # just multiply the number of cycle walks: never go below 255
         # faults per word.
         capacity = max(self.lanes - 1, 255)
-        for start in range(0, len(reps), capacity):
-            batch = reps[start : start + capacity]
-            self._run_seq_batch(
-                batch, fault_list, cycles, dffs, n_nets, input_ports,
-                prog, netlist.gates, obs_per_cycle, all_obs, held, ends,
-                detections, detected,
-            )
-        undetected = [r for r in reps if r not in detected]
-        if undetected:
-            trace = good_trace_for(netlist, cycles, packed=False)
-            for rep in undetected:
+        for start in range(0, len(lanes), capacity):
+            self._run_seq_batch(walk, lanes[start : start + capacity])
+        detections = result.detections
+        for rep in reps:
+            if rep not in detections:
                 excited = _excited_sequence(fault_list.fault(rep), trace)
                 detections[rep] = Detection(False, excited=excited)
 
     def _run_seq_batch(
-        self,
-        batch: Sequence[int],
-        fault_list: FaultList,
-        cycles: Stimulus,
-        dffs: Sequence[DFF],
-        n_nets: int,
-        input_ports: list[tuple[str, tuple[int, ...]]],
-        prog: CompiledSeq,
-        gates: Sequence[Gate],
-        obs_per_cycle: list[tuple[int, ...]] | None,
-        all_obs: tuple[int, ...],
-        held: Sequence[bool],
-        ends: Sequence[int],
-        detections: dict[int, Detection],
-        detected: set[int],
+        self, walk: _SeqWalk, lanes: list[tuple[int, Fault]]
     ) -> None:
-        """Batched cycle walk with the good machine in lane 0.
+        """One batch's cycle walk over its fan-out cone.
 
-        Lane ``i + 1`` carries fault ``batch[i]``; lane 0 gets no
-        injection, so its trajectory *is* the good machine and the
-        detection reference is read out of the word (bit 0) instead of
-        the recorded trace.  Every lane is one exact faulty machine, so
-        first detecting cycles match the differential engine's.
+        Lane ``i`` carries fault ``lanes[i]``.  The state holds, per cone
+        DFF, the lanes whose state differs from the good machine's, so
+        the good machine never rides in the word: the kernel reads it
+        from the trace row.  Two kinds of cycle are skipped:
 
-        ``held`` and ``ends`` are the stimulus' held flags and segment
-        ends (:mod:`repro.faultsim.held`): a held cycle entered with the
-        previous cycle's state repeats it, so the walk jumps to the
-        segment's end.
+        * a *held* cycle entered with the previous cycle's state repeats
+          that cycle, so the walk jumps to its segment's end
+          (:mod:`repro.faultsim.held`), re-checking detection only where
+          the observe entry changes;
+        * a *dormant* cycle, entered with the good state in every lane
+          while no lane's fault site is excited, leaves every lane on
+          the good machine.
         """
-        level_fns = prog.level_fns
-        driven_at = prog.driven_at
-        gate_level = prog.gate_level
-        keep = prog.keep
-        max_level = prog.max_level
-
-        n_lanes = len(batch) + 1
-        mask = (1 << n_lanes) - 1
-        lane_reps: list[int | None] = [None, *batch]
-
-        net_fix: dict[int, dict[int, list[int]]] = {}
-        pin_fix: dict[int, dict[int, dict[int, list[int]]]] = {}
-        dff_fix: dict[int, list[int]] = {}
-        for lane, rep in enumerate(lane_reps):
-            if rep is None:
-                continue
-            fault = fault_list.fault(rep)
-            bit = 1 << lane
-            slot = 0 if fault.stuck else 1
-            if fault.kind is FaultKind.STEM:
-                level = driven_at.get(fault.net, 0)
-                entry = net_fix.setdefault(level, {}).setdefault(
-                    fault.net, [0, 0]
-                )
-                entry[slot] |= bit
-            elif fault.kind is FaultKind.BRANCH:
-                if fault.gate not in keep:
-                    continue  # unobservable cone: cannot be detected
-                level = gate_level[fault.gate]
-                entry = (
-                    pin_fix.setdefault(level, {})
-                    .setdefault(fault.gate, {})
-                    .setdefault(fault.pin, [0, 0])
-                )
-                entry[slot] |= bit
-            else:  # DFF_D
-                entry = dff_fix.setdefault(fault.gate, [0, 0])
-                entry[slot] |= bit
-
-        state = [mask if d.init else 0 for d in dffs]
-        live = mask & ~1  # lane 0 is the reference, never "detected"
-        alive = n_lanes - 1
-        # The state entering the previous cycle, or None after a repack
-        # (the lane layout changed, so the states do not compare).
-        entering: list[int] | None = None
-        values: list[int] = []
-
-        n_cycles = len(cycles)
+        rows, row_bits, entry_of, held, ends = (
+            walk.trace.values, walk.row_bits, walk.entry_of, walk.held,
+            walk.ends,
+        )
+        n_cycles = len(rows)
+        batch = _Batch(
+            walk, lanes, self.repack_threshold, self.min_repack_drop
+        )
+        step, ones, zeros = batch.step, batch.ones, batch.zeros
+        state: tuple[int, ...] = (0,) * len(batch.kernel.dffs)
+        quiet = True
+        no_diffs = (0,) * len(walk.entries)
+        diffs = no_diffs
+        # The state entering the last cycle walked, or None after lanes
+        # changed (the states no longer compare).
+        entering: tuple[int, ...] | None = None
         t = 0
         while t < n_cycles:
             if held[t] and state == entering:
-                # Same inputs and same state as cycle t - 1 in every lane:
-                # the whole word repeats up to the next input change.  A
-                # new observe entry inside the run only re-checks
-                # detection on the cached values.
                 while True:
-                    if (
-                        obs_per_cycle is not None
-                        and obs_per_cycle[t] is not obs_per_cycle[t - 1]
-                    ):
-                        diff = _observed(values, obs_per_cycle[t], mask, live)
-                        if diff:
-                            _convict(diff, t, lane_reps, detections, detected)
-                            live &= ~diff
-                            alive = bin(live).count("1")
-                            if not live:
+                    if entry_of[t] != entry_of[t - 1]:
+                        hit = diffs[entry_of[t]] & batch.live
+                        if hit:
+                            state, diffs = batch.detect(hit, t, state, diffs)
+                            if not batch.live:
                                 return
+                            step, ones, zeros = (
+                                batch.step, batch.ones, batch.zeros
+                            )
+                            quiet = not any(state)
                     t = ends[t]
                     if t == n_cycles or not held[t]:
                         break
                 continue
-
-            cycle = cycles[t]
-            values = [0] * n_nets
-            values[CONST1] = mask
-            for port_name, nets in input_ports:
-                word = cycle.get(port_name, 0)
-                for j, net in enumerate(nets):
-                    values[net] = mask if (word >> j) & 1 else 0
-            for dff, q_word in zip(dffs, state, strict=True):
-                values[dff.q] = q_word
-
-            source_fix = net_fix.get(0)
-            if source_fix:
-                for net, (f_set, f_clear) in source_fix.items():
-                    values[net] = (values[net] & ~f_clear) | f_set
-
-            for level in range(1, max_level + 1):
-                level_fns[level](values, mask)
-                gate_fixes = pin_fix.get(level)
-                if gate_fixes:
-                    for gate_index, pins in gate_fixes.items():
-                        gate = gates[gate_index]
-                        vals = [values[n] for n in gate.inputs]
-                        for pin, (f_set, f_clear) in pins.items():
-                            vals[pin] = (vals[pin] & ~f_clear) | f_set
-                        values[gate.output] = eval_gate(
-                            gate.gtype, vals, mask
-                        )
-                fixes = net_fix.get(level)
-                if fixes:
-                    for net, (f_set, f_clear) in fixes.items():
-                        values[net] = (values[net] & ~f_clear) | f_set
-
-            diff = _observed(
-                values,
-                all_obs if obs_per_cycle is None else obs_per_cycle[t],
-                mask, live,
-            )
-            if diff:
-                _convict(diff, t, lane_reps, detections, detected)
-                live &= ~diff
-                alive = bin(live).count("1")
-                if not live:
-                    return  # every fault lane detected: drop out early
-
-            new_state = [values[d.d] for d in dffs]
-            for dff_index, (f_set, f_clear) in dff_fix.items():
-                new_state[dff_index] = (
-                    (new_state[dff_index] & ~f_clear) | f_set
-                )
             entering = state
-            state = new_state
+            if quiet:
+                # Dormant unless some lane's site is excited: a stuck-at-0
+                # site at 1 or a stuck-at-1 site at 0.
+                bits = row_bits[t]
+                if not bits & ones and bits & zeros == zeros:
+                    diffs = no_diffs
+                    t += 1
+                    continue
+            state, diffs = step(rows[t], state)
+            hit = diffs[entry_of[t]] & batch.live
             t += 1
-
-            if (
-                alive <= (n_lanes - 1) * self.repack_threshold
-                and (n_lanes - 1) - alive >= self.min_repack_drop
-            ):
-                survivors = [0] + [
-                    lane for lane in range(1, n_lanes) if (live >> lane) & 1
-                ]
-                repack = _repack_word(survivors)
-                state = [repack(w) for w in state]
+            if hit:
+                state, diffs = batch.detect(hit, t - 1, state, diffs)
+                if not batch.live:
+                    return  # every lane detected: drop out early
+                step, ones, zeros = batch.step, batch.ones, batch.zeros
                 entering = None
-                for fixes in net_fix.values():
-                    for entry in fixes.values():
-                        entry[0] = repack(entry[0])
-                        entry[1] = repack(entry[1])
-                for gate_fixes in pin_fix.values():
-                    for pins in gate_fixes.values():
-                        for entry in pins.values():
-                            entry[0] = repack(entry[0])
-                            entry[1] = repack(entry[1])
-                for entry in dff_fix.values():
-                    entry[0] = repack(entry[0])
-                    entry[1] = repack(entry[1])
-                lane_reps = [lane_reps[lane] for lane in survivors]
-                n_lanes = len(survivors)
-                mask = (1 << n_lanes) - 1
-                live = mask & ~1
-                alive = n_lanes - 1
+            quiet = not any(state)
+
+
+#: Maps a single-lane row's 0/1 bytes to binary digits.
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _site(fault: Fault) -> Site:
+    return (fault.kind, fault.net, fault.gate, fault.pin)
+
+
+def _repack_word(live: int) -> Callable[[int], int]:
+    """Compaction closure: move the ``live`` lanes down to a dense prefix."""
+    new_lane = {}
+    rest = live
+    while rest:
+        low = rest & -rest
+        new_lane[low.bit_length() - 1] = len(new_lane)
+        rest ^= low
+
+    def repack(word: int) -> int:
+        out = 0
+        word &= live
+        while word:
+            low = word & -word
+            out |= 1 << new_lane[low.bit_length() - 1]
+            word ^= low
+        return out
+
+    return repack
+
+
+class _SeqWalk:
+    """What every batch of one sequential grade shares."""
+
+    def __init__(
+        self,
+        netlist: Netlist,
+        trace: GoodTrace,
+        plan: ObservePlan,
+        result: CampaignResult,
+    ):
+        self.trace = trace
+        rows = trace.values
+        net_masks = plan.net_masks(netlist, 1)
+        # One index per distinct observe entry (equal entries share one
+        # dict, see ObservePlan.net_masks).
+        self.entries: list[tuple[int, ...]] = []
+        if net_masks is None:
+            self.entries.append(_output_nets(netlist))
+            self.entry_of = [0] * len(rows)
+        else:
+            index: dict[int, int] = {}
+            self.entry_of = []
+            for nets in net_masks:
+                at = index.get(id(nets))
+                if at is None:
+                    at = index[id(nets)] = len(self.entries)
+                    self.entries.append(tuple(nets))
+                self.entry_of.append(at)
+        self.held = held_rows(rows)
+        self.ends = segment_ends(self.held, net_masks)
+        self.lowering = ConeLowering(
+            netlist, {n for e in self.entries for n in e}
+        )
+        # Each row as one integer, net ``n`` at bit ``n``, converted once
+        # per distinct row: the dormant-cycle test is two ANDs.
+        bits_of: dict[int, int] = {}
+        self.row_bits: list[int] = []
+        for row in rows:
+            bits = bits_of.get(id(row))
+            if bits is None:
+                bits = int(row[::-1].translate(_BINARY_DIGITS), 2)
+                bits_of[id(row)] = bits
+            self.row_bits.append(bits)
+        self.detections = result.detections
+        self.detected = result.detected
+
+
+class _Batch:
+    """One batch's lanes bound to its cone kernel.
+
+    Lane ``i`` carries ``lanes[i]``; ``live`` holds the lanes not yet
+    detected.  A detected lane stops injecting its fault, so it falls
+    back to the good machine and no longer holds the batch out of
+    dormancy.  ``step`` is the kernel bound to the live lanes' masks;
+    ``ones`` and ``zeros`` are the excitation masks over
+    :attr:`_SeqWalk.row_bits`: the live stuck-at-0 sites (excited at 1)
+    and stuck-at-1 sites (excited at 0).
+    """
+
+    def __init__(
+        self,
+        walk: _SeqWalk,
+        lanes: list[tuple[int, Fault]],
+        repack_threshold: float,
+        min_repack_drop: int,
+    ):
+        self.walk = walk
+        self.repack_threshold = repack_threshold
+        self.min_repack_drop = min_repack_drop
+        slots: dict[Site, int] = {}
+        for _rep, fault in lanes:
+            slots.setdefault(_site(fault), len(slots))
+        self.slots = slots
+        self.kernel = walk.lowering.compile(list(slots), walk.entries)
+        self._load(lanes)
+
+    def _load(self, lanes: list[tuple[int, Fault]]) -> None:
+        self.lanes = lanes
+        self.live = full = (1 << len(lanes)) - 1
+        # Per slot: the set mask (its stuck-at-1 lanes), then the keep
+        # mask (every lane but its stuck-at-0 ones).
+        self.masks = [0, full] * len(self.slots)
+        # (net, stuck) -> live lanes with that excitation condition
+        self.excitable: dict[tuple[int, int], int] = {}
+        self.ones = self.zeros = 0
+        for lane, (_rep, fault) in enumerate(lanes):
+            at = 2 * self.slots[_site(fault)] + (0 if fault.stuck else 1)
+            self.masks[at] ^= 1 << lane
+            key = (fault.net, fault.stuck)
+            self.excitable[key] = self.excitable.get(key, 0) + 1
+            if fault.stuck:
+                self.zeros |= 1 << fault.net
+            else:
+                self.ones |= 1 << fault.net
+        self._bind()
+
+    def _bind(self) -> None:
+        self.step = self.kernel.make((1 << len(self.lanes)) - 1, *self.masks)
+
+    def detect(
+        self,
+        hit: int,
+        cycle: int,
+        state: tuple[int, ...],
+        diffs: tuple[int, ...],
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Record the ``hit`` lanes as detected at ``cycle`` and rebind.
+
+        A single-lane stimulus has one witness lane, so every detection
+        reports ``lanes=1``, as the differential engine does.  Returns
+        the state and the diffs with the detected lanes cleared, or with
+        the live lanes packed down to a dense prefix once occupancy
+        falls to the repack threshold.
+        """
+        detections, detected = self.walk.detections, self.walk.detected
+        rest = hit
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rep, fault = self.lanes[low.bit_length() - 1]
+            detections[rep] = Detection(True, cycle, 1, excited=True)
+            detected.add(rep)
+            at = 2 * self.slots[_site(fault)] + (0 if fault.stuck else 1)
+            self.masks[at] ^= low
+            key = (fault.net, fault.stuck)
+            self.excitable[key] -= 1
+            if not self.excitable[key]:
+                if fault.stuck:
+                    self.zeros &= ~(1 << fault.net)
+                else:
+                    self.ones &= ~(1 << fault.net)
+        self.live = live = self.live & ~hit
+        if not live:
+            return state, diffs
+        alive = live.bit_count()
+        if (
+            alive <= len(self.lanes) * self.repack_threshold
+            and len(self.lanes) - alive >= self.min_repack_drop
+        ):
+            repack = _repack_word(live)
+            self._load([lane for i, lane in enumerate(self.lanes)
+                        if live >> i & 1])
+            return (
+                tuple(repack(w) if w else 0 for w in state),
+                tuple(repack(w) if w else 0 for w in diffs),
+            )
+        self._bind()
+        return (
+            tuple(w & live for w in state), tuple(w & live for w in diffs)
+        )

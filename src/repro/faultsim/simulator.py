@@ -29,6 +29,7 @@ re-settling the netlist.  Every net is 0 or 1, so a row is one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Callable, Mapping, Sequence
 
 from repro.errors import SimulationError
@@ -75,6 +76,30 @@ class GoodTrace:
     @property
     def n_cycles(self) -> int:
         return len(self.values)
+
+    def ever(self, net: int, value: int) -> bool:
+        """Whether ``net`` carries ``value`` in some cycle of a
+        single-lane trace (the excitation test of a stuck-at fault)."""
+        if not self.values:
+            return False
+        ones, always = self._extremes
+        return bool(ones[net]) if value else not always[net]
+
+    @cached_property
+    def _extremes(self) -> tuple[bytes, bytes]:
+        """Per net, one byte each: 1 if ever 1, and 1 if always 1.
+
+        One OR and one AND over the distinct rows, read as integers.
+        """
+        rows = {id(row): row for row in self.values}.values()
+        width = len(self.values[0])
+        ones = 0
+        always = (1 << (8 * width)) - 1
+        for row in rows:
+            word = int.from_bytes(row, "little")
+            ones |= word
+            always &= word
+        return ones.to_bytes(width, "little"), always.to_bytes(width, "little")
 
 
 #: One generated level function: ``fn(values, mask)`` settles one level.

@@ -7,7 +7,8 @@ flags and first detecting cycles) with the full reference campaign in
 benchmark's sample (``golden.sample_members``: whole dominance trees of
 every 40th root) and compared with the ``A_sample`` fingerprints, so
 every engine and good-machine path the default options pick runs on
-real stimulus.  Both perfbench files are only read.
+real stimulus; the six sequential components are graded through both
+engines as well.  Both perfbench files are only read.
 """
 
 import importlib.util
@@ -58,15 +59,43 @@ def phase_a_specs():
     return tracer.finalize()
 
 
-@pytest.mark.parametrize("info", ALL_COMPONENTS, ids=lambda c: c.name)
-def test_sample_fingerprint_matches_reference(phase_a_specs, info):
+@pytest.fixture(scope="module")
+def sampled():
+    """Per component: its netlist, collapse map and sampled members."""
     golden = _golden_module()
-    netlist = info.builder()
-    cmap = compute_collapse(netlist, build_fault_list(netlist))
-    members = golden.sample_members(cmap)
+    built = {}
+
+    def build(info):
+        if info.name not in built:
+            netlist = info.builder()
+            cmap = compute_collapse(netlist, build_fault_list(netlist))
+            built[info.name] = netlist, cmap, golden.sample_members(cmap)
+        return built[info.name]
+
+    return build
+
+
+def _grade_sample(phase_a_specs, sampled, info, engine="auto"):
+    golden = _golden_module()
+    netlist, cmap, members = sampled(info)
     stimulus, observe = phase_a_specs[info.name]
     result = grade(netlist, stimulus, options=GradeOptions(
-        collapse=cmap, observe=observe, name=info.name, subset=members,
+        engine=engine, collapse=cmap, observe=observe, name=info.name,
+        subset=members,
     ))
     expected = golden.load_golden()["A_sample"]["components"][info.name]
     assert golden.fingerprint(result, members) == expected
+
+
+@pytest.mark.parametrize("info", ALL_COMPONENTS, ids=lambda c: c.name)
+def test_sample_fingerprint_matches_reference(phase_a_specs, sampled, info):
+    _grade_sample(phase_a_specs, sampled, info)
+
+
+@pytest.mark.parametrize("engine", ["differential", "packed"])
+@pytest.mark.parametrize(
+    "info", [c for c in ALL_COMPONENTS if c.sequential], ids=lambda c: c.name
+)
+def test_sample_fingerprint_per_engine(phase_a_specs, sampled, info, engine):
+    # Both sequential walks stay pinned whichever one "auto" picks.
+    _grade_sample(phase_a_specs, sampled, info, engine)

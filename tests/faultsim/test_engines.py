@@ -17,8 +17,9 @@ from repro.core.methodology import SelfTestMethodology
 from repro.errors import FaultSimError
 from repro.faultsim import GradeOptions, build_fault_list, grade
 from repro.faultsim.engine import (
+    AUTO_MIN_CLASSES_PER_MOVING_GATE,
     AUTO_MIN_DEPTH,
-    AUTO_MIN_HELD_SHARE,
+    auto_choice,
     default_engine_name,
     engine_names,
     get_engine,
@@ -122,7 +123,11 @@ class TestCrossEngineEquivalence:
                     engine, fault_list.fault(rep).describe(netlist)
                 )
                 if sequential and d.detected:
-                    assert g.cycle == d.cycle, (engine, rep)
+                    # One stimulus lane: the cycle and the witness lane
+                    # are the whole record.
+                    assert (g.cycle, g.lanes) == (d.cycle, d.lanes), (
+                        engine, rep
+                    )
             assert got.detected == want.detected, engine
             assert got.fault_coverage == want.fault_coverage, engine
             # Bit-identical Table 5 row.
@@ -250,6 +255,9 @@ class TestFacade:
         assert default_engine_name(build_component("ALU")) == "packed"
         assert depth(build_component("ALU")) >= AUTO_MIN_DEPTH
 
+    #: ``expected`` is the pick for a sparse grade: one class in 40, the
+    #: density of the benchmark's cold sample.  Every whole universe
+    #: goes to the packed engine.
     @pytest.mark.parametrize(
         "name, expected",
         [
@@ -267,11 +275,22 @@ class TestFacade:
         stimulus, _ = phase_a_specs[name]
         netlist = build_component(name)
         assert netlist.dffs
-        share = held_share(stimulus)
-        assert (share >= AUTO_MIN_HELD_SHARE) == (expected == "packed")
-        assert default_engine_name(netlist, stimulus) == expected
+        universe = build_fault_list(netlist).n_collapsed
+        sparse = universe // 40
+        moving = 1 - held_share(stimulus)
+        bar = AUTO_MIN_CLASSES_PER_MOVING_GATE * len(netlist.gates) * moving
+        assert (sparse >= bar) == (expected == "packed")
+        assert default_engine_name(netlist, stimulus, sparse) == expected
         options = GradeOptions()
-        assert resolve_engine(netlist, options, stimulus).name == expected
+        assert resolve_engine(
+            netlist, options, stimulus, sparse
+        ).name == expected
+        # The whole universe (the default count) is dense everywhere.
+        assert default_engine_name(netlist, stimulus) == "packed"
+        picked, reason = auto_choice(netlist, stimulus, universe)
+        assert picked == "packed"
+        assert reason.startswith(f"{universe:,} classes ≥ ")
+        assert reason.endswith(f"gates × {moving:.0%} moving")
         # Without a stimulus, sequential netlists stay differential.
         assert default_engine_name(netlist) == "differential"
 

@@ -317,9 +317,15 @@ class TestSegments:
         assert masks[2] is not masks[0]
 
     def test_auto_reads_the_held_share(self):
+        # "auto" weighs the simulated classes against the gates times
+        # the moving (not held) share of the cycles.
         netlist = random_fsm(1)
         held = [{"x": 1}] * 10
         moving = [{"x": i % 8} for i in range(10)]
-        assert default_engine_name(netlist, held) == "packed"
-        assert default_engine_name(netlist, moving) == "differential"
+        classes = len(netlist.gates) // 2
+        assert default_engine_name(netlist, held, classes) == "packed"
+        assert default_engine_name(netlist, moving, classes) == "differential"
+        assert default_engine_name(
+            netlist, moving, len(netlist.gates)
+        ) == "packed"
         assert default_engine_name(netlist) == "differential"

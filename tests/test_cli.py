@@ -215,10 +215,11 @@ class TestCampaign:
         assert warm.count("store hit") == 2
 
         def table5(text):
-            # Strip the timing-bearing progress lines and the hit-count
-            # line itself; the tables must be bit-identical between the
-            # cold and warm runs.
-            text = re.sub(r"\d+\.\d+s[^)]*\)", ")", text)
+            # Strip the timing-bearing progress lines (the engine may
+            # carry one parenthesized reason) and the hit-count line
+            # itself; the tables must be bit-identical between the cold
+            # and warm runs.
+            text = re.sub(r"\d+\.\d+s[^()]*(\([^)]*\))?[^)]*\)", ")", text)
             return re.sub(r"persistent cache: .*", "persistent cache:",
                           text)
 
@@ -561,8 +562,10 @@ class TestCampaignCollapse:
 
         def normalized(text):
             # Wall-clock durations and the collapse accounting (the
-            # "N inferred" note) may differ; the tables must not.
+            # "N inferred" note, and the classes "auto" weighs) may
+            # differ; the tables must not.
             text = re.sub(r"\d+\.\d+s", "_s", text)
+            text = re.sub(r"\([\d,]+ classes ", "(", text)
             return re.sub(r", \d+ inferred", "", text)
 
         assert main(["campaign", "--phases", "A",
